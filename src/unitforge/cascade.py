@@ -12,8 +12,10 @@ without pulling them into this package. Two endpoint schemes exist:
   line-aligned.
 
 Adapter outputs can be cached in a content-addressed on-disk store keyed
-by (kind, name, input), so re-running a cascade over a large manifest
-only recomputes misses. Cache writes are atomic (write then rename).
+by (kind, name, endpoint, input), so re-running a cascade over a large
+manifest only recomputes misses, and an adapter pointed at a new
+endpoint never serves the old endpoint's outputs. Cache writes are
+atomic (write then rename).
 """
 
 from __future__ import annotations
@@ -135,8 +137,8 @@ class Adapter:
     def _cache_path(self, line: str) -> Path | None:
         if self.cache_dir is None:
             return None
-        digest = hashlib.sha256(
-            f"{self.kind}\x00{self.name}\x00{line}".encode("utf-8")).hexdigest()
+        key = f"{self.kind}\x00{self.name}\x00{self.endpoint}\x00{line}"
+        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
         return self.cache_dir / self.kind / self.name / digest[:2] / digest
 
     def _cache_get(self, line: str) -> str | None:

@@ -247,7 +247,8 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads; never changes outputs (default 1)")
+                        help="worker threads, capped at the CPU count; never changes "
+                             "outputs (default 1)")
 
     parser = _Parser(prog="unitforge",
                      description="corpus engineering for unit-based speech translation")

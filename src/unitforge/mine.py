@@ -12,7 +12,7 @@ with distance and absolute variants available behind ``Margin``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -307,9 +307,3 @@ def read_pairs(path: str | Path) -> list[MinedPair]:
         except ValueError as exc:
             raise MiningError(f"{path}:{lineno}: {exc}") from None
     return pairs
-
-
-def with_segments(pair: MinedPair, src_segment: Segment | None = None,
-                  tgt_segment: Segment | None = None) -> MinedPair:
-    return replace(pair, src_segment=src_segment or pair.src_segment,
-                   tgt_segment=tgt_segment or pair.tgt_segment)

@@ -2,11 +2,13 @@
 
 Work is split into fixed-size chunks whose boundaries do not depend on
 the worker count; results are merged in chunk order, so output is
-byte-identical for any ``threads >= 1``.
+byte-identical for any ``threads >= 1``. The pool never has more workers
+than there are chunks or CPUs.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
@@ -21,7 +23,8 @@ def chunk_ranges(n: int, chunk: int = CHUNK_ROWS) -> list[tuple[int, int]]:
 
 
 def map_chunks(fn: Callable[[T], R], chunks: Sequence[T], threads: int = 1) -> list[R]:
-    if threads <= 1 or len(chunks) <= 1:
+    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, chunks))

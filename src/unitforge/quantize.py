@@ -1,9 +1,15 @@
 """Discrete-unit quantization: k-means codebooks, unit assignment, dedup, CTC collapse.
 
 The fitting loop is plain Lloyd iteration over k-means++ seeds. All
-randomness flows through ``numpy.random.default_rng(seed)`` (PCG64), and
-assignment reduces distances in float64 with a fixed chunk layout, so a
-fit is reproducible for any thread count given the same inputs.
+randomness flows through ``numpy.random.default_rng(seed)`` (PCG64).
+
+Nearest-centroid search ranks centroids per 256-row chunk with one float64
+GEMM (||x||^2 - 2 x.c + ||c||^2), keeps every centroid that a rounding-error
+bound cannot rule out, and picks among those by the direct float64 sum of
+(x - c)^2, lowest index on ties. Labels therefore equal the brute-force
+argmin exactly, and the returned distances (hence the inertia) come from the
+direct formula, so a fit is byte-identical for any thread count or BLAS
+blocking given the same inputs.
 """
 
 from __future__ import annotations
@@ -75,6 +81,27 @@ class Codebook:
         return self.inertia_history[-1] if self.inertia_history else None
 
 
+def _direct_argmin(x: np.ndarray, cents: np.ndarray,
+                   cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the (rows, k) mask ``cand``, the candidate with the least
+    direct float64 sum of (x - c)^2 and that sum; lowest index on ties.
+
+    Each row needs at least one candidate. The sum is taken exactly as the
+    brute-force oracle takes it, so equal inputs give equal bits.
+    """
+    rows, cols = np.nonzero(cand)
+    d2 = np.empty(rows.shape[0])
+    step = max(1, (1 << 20) // max(x.shape[1], 1))  # bounds the difference block
+    for lo in range(0, rows.shape[0], step):
+        diff = x[rows[lo:lo + step]] - cents[cols[lo:lo + step]]
+        d2[lo:lo + step] = np.square(diff, out=diff).sum(axis=1)
+    # a stable sort by (row, distance) keeps ascending columns within ties
+    # (with finite centroids a NaN row is NaN throughout, so it keeps column 0)
+    order = np.lexsort((d2, rows))
+    first = order[np.r_[True, rows[order[1:]] != rows[order[:-1]]]]
+    return cols[first], d2[first]
+
+
 def _nearest(features: np.ndarray, centroids: np.ndarray,
              threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest centroid per row: (labels, squared distances).
@@ -83,19 +110,44 @@ def _nearest(features: np.ndarray, centroids: np.ndarray,
     ties broken toward the lowest centroid index.
     """
     feats = features.astype(np.float64, copy=False)
-    cents = centroids.astype(np.float64, copy=False)
+    cents = np.ascontiguousarray(centroids, dtype=np.float64)
+    dim = cents.shape[1]
+    f64 = np.finfo(np.float64)
+
+    # Certificate. With u = eps/2 and gamma_n = n*u/(1 - n*u) (Higham), for
+    # X = ||x||^2, C = ||c||^2 and any summation order of the GEMM:
+    #   |fl(x.c) - x.c| <= gamma_d * (X + C) / 2,   |fl(C) - C| <= gamma_d * C,
+    # and the two additions forming fl(C) - 2 fl(x.c) add u * (X + 2C) each,
+    # so the expansion errs by at most (d + 1) u X + (2d + 3) u C. The direct
+    # oracle fl(sum (x - c)^2) errs by at most gamma_(d+2) * ||x - c||^2
+    # <= (2d + 4) u (X + C). Together |expansion - oracle| <= (3d+5) u X +
+    # (4d+7) u C <= (2d+4) eps (X + C). The slack below doubles that to cover
+    # the comparisons' own rounding and the use of computed X, C; dim * tiny
+    # covers gradual underflow. Rows whose X could overflow the expansion
+    # take every centroid as a candidate.
+    coef = 4.0 * (dim + 2) * f64.eps
+    cc = np.einsum("ij,ij->i", cents, cents)
+    col_slack = coef * cc
+    upper_shift = cc + col_slack
+    col_gap = 2.0 * col_slack
+    xx_limit = f64.max / 8 - cc.max()
 
     def one_chunk(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = bounds
-        diffs = feats[lo:hi, None, :] - cents[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diffs, diffs)
-        labels = d2.argmin(axis=1)
-        return labels, d2[np.arange(hi - lo), labels]
+        x = feats[lo:hi]
+        with np.errstate(all="ignore"):
+            xx = np.einsum("ij,ij->i", x, x)
+            # upper[i, j] = expansion - X_i + slack_j; X_i is constant per row
+            upper = x @ cents.T
+            upper *= -2.0
+            upper += upper_shift
+            thresh = upper.min(axis=1) + (2.0 * coef * xx + dim * f64.tiny)
+            # keep j unless expansion_j - slack_ij > min_l(expansion_l + slack_il)
+            cand = upper - col_gap <= thresh[:, None]
+        cand[~(xx <= xx_limit)] = True
+        return _direct_argmin(x, cents, cand)
 
-    # keep chunk * k * dim bounded so the difference cube stays in memory
-    per_row = max(1, cents.shape[0] * cents.shape[1])
-    chunk = max(1, min(256, (1 << 23) // per_row))
-    parts = map_chunks(one_chunk, chunk_ranges(feats.shape[0], chunk), threads)
+    parts = map_chunks(one_chunk, chunk_ranges(feats.shape[0]), threads)
     if not parts:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
     labels = np.concatenate([p[0] for p in parts])

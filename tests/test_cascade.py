@@ -155,6 +155,14 @@ class TestAdapters:
         assert up.run(["MiXeD"]) == ["MIXED"]
         assert low.run(["MiXeD"]) == ["mixed"]
 
+    def test_cache_keyed_by_endpoint(self, tmp_path):
+        cache = tmp_path / "cache"
+        first = make_adapter("mt", "mt", "mock:upper", cache_dir=cache)
+        assert first.run(["hello"]) == ["HELLO"]
+        repointed = make_adapter("mt", "mt", "mock:reverse", cache_dir=cache)
+        assert repointed.run(["hello"]) == ["olleh"]
+        assert first.run(["hello"]) == ["HELLO"]
+
 
 class TestRunCascade:
     def test_identity_stage_copies_field(self):

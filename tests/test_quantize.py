@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from unitforge import quantize
 from unitforge.quantize import (
     Codebook, QuantizeError, UnitSequence,
     assign_units, ctc_collapse, dedup_units, kmeans_fit,
@@ -125,6 +126,121 @@ class TestAssignUnits:
             feats = rng.normal(size=(n, dim)).astype(np.float32)
             cb = Codebook(k=k, dim=dim, centroids=cents, seed=0)
             assert list(assign_units(cb, feats).units) == oracle_assign(feats, cents)
+
+
+def record_candidates(monkeypatch) -> list[np.ndarray]:
+    """Collect the per-row candidate counts the kernel hands to its direct recheck."""
+    seen: list[np.ndarray] = []
+    direct = quantize._direct_argmin
+
+    def spy(x, cents, cand):
+        seen.append(cand.sum(axis=1))
+        return direct(x, cents, cand)
+
+    monkeypatch.setattr(quantize, "_direct_argmin", spy)
+    return seen
+
+
+def oracle_dists(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    feats = np.asarray(features, dtype=np.float64)
+    cents = np.asarray(centroids, dtype=np.float64)
+    return np.array([((row[None, :] - cents) ** 2).sum(axis=1) for row in feats])
+
+
+class TestExactKernel:
+    """The GEMM ranking plus certificate must reproduce the brute-force oracle."""
+
+    def offset_pairs(self, rng, dim: int, pairs: int, offset: float):
+        """Centroid pairs far from the origin and frames on their midpoints."""
+        base = rng.normal(size=(2 * pairs, dim)) * 0.01
+        cents = (base + offset).astype(np.float32)
+        c64 = cents.astype(np.float64)
+        mids = (c64[0::2] + c64[1::2]) / 2  # exact: float32 sums fit in float64
+        return cents, mids
+
+    def test_midpoints_under_large_offset(self, rng, monkeypatch):
+        seen = record_candidates(monkeypatch)
+        cents, mids = self.offset_pairs(rng, dim=64, pairs=20, offset=1e4)
+        # exact midpoints tie; nudged ones differ far below the expansion's error
+        nudged = mids + rng.normal(size=mids.shape) * 1e-9
+        feats = np.vstack([mids, nudged])
+        cb = Codebook(k=len(cents), dim=64, centroids=cents, seed=0)
+        assert list(assign_units(cb, feats).units) == oracle_assign(feats, cents)
+        assert list(assign_units(cb, mids).units) == list(range(0, len(cents), 2))
+        counts = np.concatenate(seen)
+        assert (counts >= 2).all(), "near-tie rows must reach the direct recheck"
+
+    def test_random_rows_mostly_single_candidate(self, rng, monkeypatch):
+        seen = record_candidates(monkeypatch)
+        cents = rng.normal(size=(50, 32)).astype(np.float32)
+        feats = rng.normal(size=(300, 32)).astype(np.float32)
+        cb = Codebook(k=50, dim=32, centroids=cents, seed=0)
+        assert list(assign_units(cb, feats).units) == oracle_assign(feats, cents)
+        counts = np.concatenate(seen)
+        assert len(counts) == 300 and (counts >= 1).all()
+        assert (counts == 1).mean() > 0.95
+
+    def test_duplicate_centroids_lower_index_wins(self, rng):
+        cents = rng.normal(size=(12, 16)).astype(np.float32)
+        cents[7] = cents[2]
+        cents[11] = cents[2]
+        cents[9] = cents[4]
+        feats = np.vstack([cents, cents + rng.normal(size=cents.shape) * 1e-3])
+        cb = Codebook(k=12, dim=16, centroids=cents, seed=0)
+        got = list(assign_units(cb, feats).units)
+        assert got == oracle_assign(feats, cents)
+        assert got[7] == got[11] == 2 and got[9] == 4
+
+    def test_frames_equal_to_centroids(self, rng):
+        cents = (rng.normal(size=(40, 24)) * 5 + 300).astype(np.float32)
+        cb = Codebook(k=40, dim=24, centroids=cents, seed=0)
+        assert assign_units(cb, cents).units == tuple(range(40))
+        _, dists = quantize._nearest(cents, cents)
+        assert (dists == 0).all()
+
+    def test_k_above_chunk_at_d768(self, rng):
+        k, dim = 300, 768
+        cents = rng.normal(size=(k, dim)).astype(np.float32)
+        near = cents[rng.integers(0, k, 200)] + rng.normal(size=(200, dim)).astype(np.float32) * 0.1
+        feats = np.vstack([rng.normal(size=(150, dim)), near]).astype(np.float32)
+        cb = Codebook(k=k, dim=dim, centroids=cents, seed=0)
+        assert list(assign_units(cb, feats).units) == oracle_assign(feats, cents)
+
+    def test_distances_are_the_direct_sum(self, rng):
+        cents = rng.normal(size=(30, 768)).astype(np.float32)
+        feats = (rng.normal(size=(260, 768)) + 1e3).astype(np.float32)
+        labels, dists = quantize._nearest(feats, cents)
+        expected = oracle_dists(feats, cents)[np.arange(260), labels]
+        np.testing.assert_array_equal(dists, expected)
+
+    def test_non_finite_and_huge_rows_match_argmin(self, rng):
+        cents = rng.normal(size=(6, 4)).astype(np.float32)
+        feats = rng.normal(size=(5, 4))
+        feats[1, 2] = np.nan
+        feats[2, 0] = np.inf
+        feats[3] = 1e200
+        feats[4] = cents[3] * 1e-170  # products underflow
+        cb = Codebook(k=6, dim=4, centroids=cents, seed=0)
+        with np.errstate(all="ignore"):
+            expected = oracle_assign(feats, cents)
+            got = list(assign_units(cb, feats).units)
+        assert got == expected
+
+    def test_subnormal_scale_ties(self, rng):
+        # float64 centroids as k-means holds them; squares underflow to zero
+        cents = rng.normal(size=(8, 16)) * 1e-160
+        feats = np.vstack([(cents[0] + cents[1]) / 2, cents[5], cents * 3])
+        labels, _ = quantize._nearest(feats, cents)
+        assert list(labels) == oracle_assign(feats, cents)
+
+    def test_kmeans_d768_thread_independent(self, rng):
+        feats = np.vstack([rng.normal(size=(150, 768)) + shift
+                           for shift in (0.0, 0.5, -0.5, 3.0)]).astype(np.float32)
+        a = kmeans_fit(feats, k=12, seed=4, max_iters=6, threads=1)
+        b = kmeans_fit(feats, k=12, seed=4, max_iters=6, threads=8)
+        assert a.centroids.tobytes() == b.centroids.tobytes()
+        assert a.inertia_history == b.inertia_history
+        assert a.iters_run == b.iters_run
 
 
 class TestUnitOps:
