@@ -368,12 +368,14 @@ class CascadeReport:
     output_count: int
     adapter_error_drops: int
     filter_drops: Mapping[str, int]
+    field_parse_drops: int = 0
 
     def to_dict(self) -> dict:
         return {
             "input_count": self.input_count,
             "output_count": self.output_count,
             "adapter_error_drops": self.adapter_error_drops,
+            "field_parse_drops": self.field_parse_drops,
             "filter_drops": dict(self.filter_drops),
         }
 
@@ -402,14 +404,16 @@ def run_cascade(src: Manifest, spec: PipelineSpec,
     """Apply the pipeline stages and filters record-wise over a manifest.
 
     Records whose adapter call fails are dropped with reason
-    ``adapter_error``; filters drop in declaration order and each is
-    tallied. Surviving records keep the input order, and
+    ``adapter_error``; records whose adapter output does not parse as the
+    typed output field (``units``, ``duration_s``, ...) are dropped with
+    reason ``field_parse_error``; filters drop in declaration order and
+    each is tallied. Surviving records keep the input order, and
     kept + dropped always equals the input count.
     """
     _validate_spec(src, spec, adapters)
 
     records: list[Utterance | None] = list(src.records)
-    adapter_error_drops = 0
+    adapter_error_drops = field_parse_drops = 0
     for stage in spec.stages:
         adapter = adapters[stage.adapter]
         live = [i for i, rec in enumerate(records) if rec is not None]
@@ -419,8 +423,12 @@ def run_cascade(src: Manifest, spec: PipelineSpec,
             if out is None:
                 records[i] = None
                 adapter_error_drops += 1
-            else:
+                continue
+            try:
                 records[i] = set_field(records[i], stage.out_field, out)
+            except ValueError:
+                records[i] = None
+                field_parse_drops += 1
 
     filter_drops: dict[str, int] = {}
     for idx, fspec in enumerate(spec.filters):
@@ -437,5 +445,6 @@ def run_cascade(src: Manifest, spec: PipelineSpec,
         output_count=len(kept),
         adapter_error_drops=adapter_error_drops,
         filter_drops=filter_drops,
+        field_parse_drops=field_parse_drops,
     )
     return with_records(src, kept), report

@@ -117,15 +117,24 @@ def l2_normalize(matrix: EmbeddingMatrix) -> tuple[EmbeddingMatrix, int]:
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity of two vectors, clamped to [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise EmbeddingError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVectorError("cosine similarity undefined for a zero vector")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+    return float(cosine_matrix(np.reshape(a, (1, -1)), np.reshape(b, (1, -1)))[0, 0])
+
+
+def rows_with_norms(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows as float64 plus their L2 norms; a zero row raises ZeroVectorError."""
+    rows = np.asarray(data, dtype=np.float64)
+    norms = np.linalg.norm(rows, axis=1)
+    if not norms.all():
+        raise ZeroVectorError(f"zero embedding row {int(np.argmin(norms))}; cosine undefined")
+    return rows, norms
+
+
+def cosine_block(q64: np.ndarray, q_norms: np.ndarray,
+                 d64: np.ndarray, d_norms: np.ndarray) -> np.ndarray:
+    """clip((q·dᵀ) / outer(‖q‖, ‖d‖), -1, 1) over ``rows_with_norms`` output."""
+    sims = q64 @ d64.T
+    sims /= np.outer(q_norms, d_norms)
+    return np.clip(sims, -1.0, 1.0, out=sims)
 
 
 def cosine_matrix(queries: EmbeddingMatrix | np.ndarray,
@@ -137,13 +146,5 @@ def cosine_matrix(queries: EmbeddingMatrix | np.ndarray,
         raise EmbeddingError("cosine_matrix expects 2-D inputs")
     if q.shape[1] != d.shape[1]:
         raise EmbeddingError(f"dimension mismatch: {q.shape[1]} vs {d.shape[1]}")
-    q64 = q.astype(np.float64)
-    d64 = d.astype(np.float64)
-    qn = np.linalg.norm(q64, axis=1)
-    dn = np.linalg.norm(d64, axis=1)
-    if (qn == 0.0).any() or (dn == 0.0).any():
-        row = int(np.flatnonzero(qn == 0.0)[0]) if (qn == 0.0).any() \
-            else int(np.flatnonzero(dn == 0.0)[0])
-        raise ZeroVectorError(f"zero embedding row {row}; cosine undefined")
-    sims = (q64 @ d64.T) / np.outer(qn, dn)
-    return np.clip(sims, -1.0, 1.0)
+    return cosine_block(*rows_with_norms(q), *rows_with_norms(d))
+

@@ -1,7 +1,9 @@
 """Parallel-data mining: exact kNN, margin scoring, thresholding, overlap filtering.
 
-Search is exact (full cosine table, chunked over queries); there is no
-approximate index. Margin scoring follows the ratio form
+Search is exact and streamed: ``_cosine_top_k`` walks 256-row source
+chunks and keeps only the top-k cosines per source row and per target
+column. Besides float64 copies of the inputs it needs
+O((n_src + n_tgt)·k + 256·n_tgt) memory. Margin scoring is the ratio
 
     score(x, y) = cos(x, y) / ((mean cos of x's k neighbors
                                 + mean cos of y's k neighbors) / 2)
@@ -20,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Segment
-from .embed import EmbeddingMatrix, cosine_matrix
+from .embed import EmbeddingMatrix, cosine_block, rows_with_norms
 from .parallel import chunk_ranges, map_chunks
 
 
@@ -82,6 +84,51 @@ class MinedPair:
             raise MiningError(f"pair score must be finite, got {self.score!r}")
 
 
+def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the indices of its k largest values in (-value, index) order; 1 <= k <= width."""
+    neg = -sims
+    cand = np.argpartition(neg, k - 1, axis=1)[:, :k]
+    order = np.lexsort((cand, np.take_along_axis(neg, cand, axis=1)))
+    cand = np.take_along_axis(cand, order, axis=1)
+    # argpartition picks arbitrarily among values tied with the k-th: redo those rows
+    kth = np.take_along_axis(neg, cand[:, -1:], axis=1)
+    tied = np.count_nonzero(neg <= kth, axis=1) > k
+    cand[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :k]
+    return cand
+
+
+_MERGE_CHUNKS = 16  # chunks per merge of the column top-k; bounds the results held
+
+
+def _cosine_top_k(a: np.ndarray, a_norms: np.ndarray, b: np.ndarray, b_norms: np.ndarray,
+                  k: int, threads: int = 1, columns: bool = True):
+    """Exact cosine top-k over ``rows_with_norms`` output, one 256-row chunk of ``a``
+    at a time. Returns the row top-k as (n, k) indices and cosines and, with
+    ``columns``, the column top-k as (k, m) ones; ties go to the lower index."""
+    rows, row_cos = np.empty((len(a), k), dtype=np.int64), np.empty((len(a), k))
+    cols, col_cos = np.empty((0, len(b)), dtype=np.int64), np.empty((0, len(b)))
+
+    def one_chunk(bounds: tuple[int, int]):
+        lo, hi = bounds
+        sims = cosine_block(a[lo:hi], a_norms[lo:hi], b, b_norms)
+        rows[lo:hi] = _top_k(sims, k)  # chunks write disjoint rows
+        row_cos[lo:hi] = np.take_along_axis(sims, rows[lo:hi], axis=1)
+        if not columns:  # no column candidates: the merge below keeps (0, m) arrays
+            return np.empty((0, len(b)), dtype=np.int64), sims[:0]
+        c = _top_k(sims.T, min(k, hi - lo)).T
+        return c + lo, np.take_along_axis(sims, c, axis=0)
+
+    chunks = chunk_ranges(len(a))
+    for start in range(0, len(chunks), _MERGE_CHUNKS):
+        for c, cc in map_chunks(one_chunk, chunks[start:start + _MERGE_CHUNKS], threads):
+            # earlier chunks hold lower rows, so the stable sort keeps them first on ties
+            merged = np.vstack([col_cos, cc])
+            keep = np.argsort(-merged, axis=0, kind="stable")[:k]
+            cols = np.take_along_axis(np.vstack([cols, c]), keep, axis=0)
+            col_cos = np.take_along_axis(merged, keep, axis=0)
+    return rows, row_cos, cols, col_cos
+
+
 def knn(queries: EmbeddingMatrix, database: EmbeddingMatrix, k_nn: int,
         threads: int = 1) -> list[NeighborList]:
     """Exact top-``k_nn`` cosine neighbors per query, ties broken by lower index."""
@@ -92,20 +139,10 @@ def knn(queries: EmbeddingMatrix, database: EmbeddingMatrix, k_nn: int,
     if queries.dim != database.dim:
         raise MiningError(f"dimension mismatch: {queries.dim} vs {database.dim}")
     k = min(k_nn, database.rows)
-
-    def one_chunk(bounds: tuple[int, int]) -> list[NeighborList]:
-        lo, hi = bounds
-        sims = cosine_matrix(queries.data[lo:hi], database.data)
-        out = []
-        for r in range(hi - lo):
-            order = np.argsort(-sims[r], kind="stable")[:k]
-            out.append(NeighborList(
-                query_index=lo + r,
-                neighbors=tuple((int(j), float(sims[r, j])) for j in order)))
-        return out
-
-    parts = map_chunks(one_chunk, chunk_ranges(queries.rows), threads)
-    return [nl for part in parts for nl in part]
+    rows, cos, _, _ = _cosine_top_k(*rows_with_norms(queries.data),
+                                    *rows_with_norms(database.data), k, threads, columns=False)
+    return [NeighborList(query_index=i, neighbors=tuple(zip(js, cs)))
+            for i, (js, cs) in enumerate(zip(rows.tolist(), cos.tolist()))]
 
 
 def margin_score(x_idx: int, y_idx: int, cos_xy: float,
@@ -116,28 +153,34 @@ def margin_score(x_idx: int, y_idx: int, cos_xy: float,
         raise MiningError("neighbor lists do not belong to the scored pair")
     if len(nn_x.neighbors) != len(nn_y.neighbors) or not nn_x.neighbors:
         raise MiningError("both neighbor lists must have the same nonzero length")
-    if margin is Margin.ABSOLUTE:
-        return float(cos_xy)
-    denom = (nn_x.mean_cosine() + nn_y.mean_cosine()) / 2.0
-    if margin is Margin.DISTANCE:
-        return float(cos_xy - denom)
-    if denom <= 0.0:
-        raise MiningError(f"degenerate neighborhood: denominator {denom} <= 0")
-    return float(cos_xy) / denom
+    x_mean, y_mean = nn_x.mean_cosine(), nn_y.mean_cosine()
+    if margin is Margin.RATIO and (x_mean + y_mean) / 2.0 <= 0.0:
+        raise MiningError(f"degenerate neighborhood: denominator {(x_mean + y_mean) / 2.0} <= 0")
+    return float(_margins(float(cos_xy), x_mean, y_mean, margin))
 
 
-def _margin_table(cos_fwd: np.ndarray, k: int, margin: Margin) -> np.ndarray:
-    """Margin scores for every (query, database) pair from the full cosine table."""
+def _margins(cos, x_mean, y_mean, margin: Margin):
+    """Margin scores of cosines given the two neighborhood means, elementwise."""
     if margin is Margin.ABSOLUTE:
-        return cos_fwd
-    top_q = -np.sort(-cos_fwd, axis=1)[:, :k].mean(axis=1)
-    top_d = -np.sort(-cos_fwd, axis=0)[:k, :].mean(axis=0)
-    denom = (top_q[:, None] + top_d[None, :]) / 2.0
-    if margin is Margin.DISTANCE:
-        return cos_fwd - denom
-    if (denom <= 0.0).any():
+        return cos
+    denom = (x_mean + y_mean) / 2.0
+    return cos - denom if margin is Margin.DISTANCE else cos / denom
+
+
+def _means(row_cos: np.ndarray, col_cos: np.ndarray, margin: Margin):
+    """Row and column neighborhood means; the ratio needs every pair's denominator > 0."""
+    row_mean, col_mean = row_cos.mean(axis=1), col_cos.mean(axis=0)
+    # rounding is monotone, so no pair's denominator is below the one of the two minima
+    if margin is Margin.RATIO and (row_mean.min() + col_mean.min()) / 2.0 <= 0.0:
         raise MiningError("degenerate neighborhood: nonpositive margin denominator")
-    return cos_fwd / denom
+    return row_mean, col_mean
+
+
+def _argmax(cands: np.ndarray, scores: np.ndarray, axis: int):
+    """Best score along ``axis`` and its candidate, the lowest one on ties."""
+    best = scores.max(axis=axis, keepdims=True)
+    winner = np.where(scores == best, cands, np.iinfo(np.int64).max).min(axis=axis)
+    return winner, best.squeeze(axis)
 
 
 def mine_pairs(src: EmbeddingMatrix, tgt: EmbeddingMatrix, k_nn: int = 4,
@@ -148,9 +191,11 @@ def mine_pairs(src: EmbeddingMatrix, tgt: EmbeddingMatrix, k_nn: int = 4,
     """Mine scored pairs above ``threshold``.
 
     Each source row is paired with the margin-argmax among its ``k_nn``
-    cosine neighbors (backward: the same from the target side; intersect:
-    mutual argmaxes only). ``threshold=-inf`` keeps every candidate.
-    Output is sorted by descending score, then (src_id, tgt_id).
+    cosine neighbors only (backward: the same from the target side;
+    intersect: mutual argmaxes only), lowest index on ties. Unlike
+    ``simsearch_error_rate``, a target outside those neighbors is never
+    chosen, even if its margin is higher. ``threshold=-inf`` keeps every
+    candidate. Output is sorted by descending score, then (src_id, tgt_id).
     """
     direction = Direction(direction)
     margin = Margin(margin)
@@ -164,38 +209,23 @@ def mine_pairs(src: EmbeddingMatrix, tgt: EmbeddingMatrix, k_nn: int = 4,
         raise MiningError("empty database")
 
     k = min(k_nn, src.rows, tgt.rows)
+    rows, row_cos, cols, col_cos = _cosine_top_k(*rows_with_norms(src.data),
+                                                 *rows_with_norms(tgt.data), k, threads)
+    row_mean, col_mean = _means(row_cos, col_cos, margin)
+    fwd, fwd_best = _argmax(rows, _margins(
+        row_cos, row_mean[:, None], col_mean[rows], margin), axis=1)
+    bwd, bwd_best = _argmax(cols, _margins(
+        col_cos, row_mean[cols], col_mean[None, :], margin), axis=0)
 
-    def score_chunk(bounds: tuple[int, int]) -> np.ndarray:
-        lo, hi = bounds
-        return cosine_matrix(src.data[lo:hi], tgt.data)
-
-    sims = np.concatenate(map_chunks(score_chunk, chunk_ranges(src.rows), threads))
-    scores = _margin_table(sims, k, margin)
-
-    # per-source argmax restricted to the k_nn cosine neighbors
-    nn_fwd = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-    nn_bwd = np.argsort(-sims.T, axis=1, kind="stable")[:, :k]
-
-    def best_of(cands: np.ndarray, row_scores: np.ndarray) -> tuple[int, float]:
-        cand_scores = row_scores[cands]
-        best = cand_scores.max()
-        # ties resolved toward the lowest candidate index
-        winner = int(cands[cand_scores == best].min())
-        return winner, float(best)
-
-    fwd_best = [best_of(nn_fwd[i], scores[i]) for i in range(src.rows)]
-    bwd_best = [best_of(nn_bwd[j], scores[:, j]) for j in range(tgt.rows)]
-
-    if direction is Direction.FORWARD:
-        cands = [(i, j, s) for i, (j, s) in enumerate(fwd_best)]
-    elif direction is Direction.BACKWARD:
-        cands = [(i, j, s) for j, (i, s) in enumerate(bwd_best)]
-    else:
-        cands = [(i, j, s) for i, (j, s) in enumerate(fwd_best) if bwd_best[j][0] == i]
-
+    i, j, s = np.arange(src.rows), fwd, fwd_best
+    if direction is Direction.BACKWARD:
+        i, j, s = bwd, np.arange(tgt.rows), bwd_best
+    elif direction is Direction.INTERSECT:
+        mutual = bwd[fwd] == i
+        i, j, s = i[mutual], j[mutual], s[mutual]
     pairs = [
-        MinedPair(src_id=src.row_id(i), tgt_id=tgt.row_id(j), score=s)
-        for i, j, s in cands if s >= threshold
+        MinedPair(src_id=src.row_id(a), tgt_id=tgt.row_id(b), score=c)
+        for a, b, c in zip(i.tolist(), j.tolist(), s.tolist()) if c >= threshold
     ]
     pairs.sort(key=lambda p: (-p.score, p.src_id, p.tgt_id))
     return pairs
@@ -248,8 +278,11 @@ def simsearch_error_rate(audio_emb: EmbeddingMatrix, text_emb: EmbeddingMatrix,
                          gold: Mapping[str, str], k_nn: int = 4) -> float:
     """Fraction of audio rows whose margin-argmax text differs from gold.
 
-    Both matrices must carry ids; every audio id needs a gold text id
-    present in ``text_emb``.
+    The ratio margin uses ``k_nn``-neighbor means, but unlike
+    ``mine_pairs`` the argmax runs over all texts, not only the audio
+    row's ``k_nn`` cosine neighbors (first index on ties). Both matrices
+    must carry ids; every audio id needs a gold text id present in
+    ``text_emb``.
     """
     if audio_emb.ids is None or text_emb.ids is None:
         raise MiningError("simsearch evaluation needs ids on both matrices")
@@ -263,9 +296,17 @@ def simsearch_error_rate(audio_emb: EmbeddingMatrix, text_emb: EmbeddingMatrix,
         raise MiningError("no audio rows to evaluate")
 
     k = min(k_nn, audio_emb.rows, text_emb.rows)
-    sims = cosine_matrix(audio_emb.data, text_emb.data)
-    scores = _margin_table(sims, k, Margin.RATIO)
-    predictions = scores.argmax(axis=1)
+    a, a_norms = rows_with_norms(audio_emb.data)
+    b, b_norms = rows_with_norms(text_emb.data)
+    _, row_cos, _, col_cos = _cosine_top_k(a, a_norms, b, b_norms, k)
+    row_mean, col_mean = _means(row_cos, col_cos, Margin.RATIO)
+
+    def predict(bounds: tuple[int, int]) -> np.ndarray:
+        lo, hi = bounds
+        sims = cosine_block(a[lo:hi], a_norms[lo:hi], b, b_norms)
+        return _margins(sims, row_mean[lo:hi, None], col_mean, Margin.RATIO).argmax(axis=1)
+
+    predictions = np.concatenate(map_chunks(predict, chunk_ranges(audio_emb.rows)))
     errors = sum(
         1 for i, aid in enumerate(audio_emb.ids)
         if text_emb.ids[int(predictions[i])] != gold[aid])

@@ -208,6 +208,34 @@ class TestRunCascade:
         assert report.adapter_error_drops == 1
         assert report.input_count == report.output_count + 1
 
+    def test_unparsable_typed_field_dropped(self):
+        spec = PipelineSpec.from_dict({
+            "adapters": {"copy": "mock:identity"},
+            "stages": [{"adapter": "copy", "in": "text", "out": "units"}],
+        })
+        src = man("1 2 3", "not units", "40 5", "7 x", "")
+        out, report = run_cascade(src, spec, adapters_for(spec))
+        assert out.ids() == ("u0", "u2", "u4")
+        assert [r.units for r in out] == [(1, 2, 3), (40, 5), None]
+        assert report.field_parse_drops == 2 and report.adapter_error_drops == 0
+        assert report.to_dict()["field_parse_drops"] == 2
+        assert (report.output_count + report.adapter_error_drops + report.field_parse_drops
+                + sum(report.filter_drops.values())) == report.input_count == 5
+
+    def test_unparsable_duration_dropped(self):
+        spec = PipelineSpec.from_dict({
+            "adapters": {"copy": "mock:identity"},
+            "stages": [{"adapter": "copy", "in": "text", "out": "duration_s"}],
+            "filters": [{"kind": "min_length", "params": {"field": "text", "min_chars": 2}}],
+        })
+        src = man("2.5", "two", "-1", "inf", "0.25", "7")
+        out, report = run_cascade(src, spec, adapters_for(spec))
+        assert out.ids() == ("u0", "u4")
+        assert [r.duration_s for r in out] == [2.5, 0.25]
+        assert report.field_parse_drops == 3
+        assert report.filter_drops == {"0:min_length": 1}
+        assert report.output_count + report.field_parse_drops + 1 == report.input_count
+
     def test_unknown_adapter(self):
         spec = PipelineSpec.from_dict({
             "stages": [{"adapter": "ghost", "in": "text", "out": "y"}]})

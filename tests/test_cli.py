@@ -57,6 +57,28 @@ class TestExitCodes:
                          "--out", str(tmp_path / "s.json")])
         assert code == 2
 
+    def test_cascade_unparsable_units_dropped_not_fatal(self, tmp_path):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(
+            "id\tlang\taudio\tduration_s\tspeaker\ttext\tunits\n"
+            "u0\ten\t\t\t\t1 2 3\t\n"
+            "u1\ten\t\t\t\tnot units\t\n"
+            "u2\ten\t\t\t\t40 5\t\n", encoding="utf-8")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "adapters": {"copy": "mock:identity"},
+            "stages": [{"adapter": "copy", "in": "text", "out": "units"}]}))
+        out, report = tmp_path / "out.tsv", tmp_path / "report.json"
+        code = dispatch(["cascade", "run", "--spec", str(spec), "--in", str(manifest),
+                         "--out", str(out), "--report", str(report)])
+        assert code == 0
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert [r.split("\t")[0] for r in rows] == ["u0", "u2"]
+        assert [r.split("\t")[6] for r in rows] == ["1 2 3", "40 5"]
+        got = json.loads(report.read_text())
+        assert got["field_parse_drops"] == 1
+        assert got["output_count"] + got["field_parse_drops"] == got["input_count"] == 3
+
     def test_happy_path_balance(self, workspace, tmp_path):
         out = tmp_path / "dist.json"
         code = dispatch(["balance", "--counts", str(workspace["counts.tsv"]),

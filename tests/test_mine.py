@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,12 +33,69 @@ def oracle_neighbors(queries: np.ndarray, database: np.ndarray, k: int):
     return out
 
 
-def oracle_margin(sims: np.ndarray, i: int, j: int, k: int) -> float:
-    """Ratio margin from the full cosine table, computed with plain loops."""
+def oracle_margin(sims: np.ndarray, i: int, j: int, k: int,
+                  margin: Margin = Margin.RATIO) -> float:
+    """Margin (ratio by default) from the full cosine table, computed with plain loops."""
     row = sorted(sims[i, :], reverse=True)[:k]
     col = sorted(sims[:, j], reverse=True)[:k]
     denom = (sum(row) / k + sum(col) / k) / 2.0
+    if margin is Margin.ABSOLUTE:
+        return sims[i, j]
+    if margin is Margin.DISTANCE:
+        return sims[i, j] - denom
     return sims[i, j] / denom
+
+
+def tie_fixture():
+    """Small non-negative integer rows with exact duplicates on both sides.
+
+    Every dot product and squared norm is an exact integer, so equal
+    cosines are bit-equal in any summation order, and ties straddle the
+    k-th neighbor of rows and of columns. 300 source rows span two
+    256-row chunks, so column candidates are merged across chunks.
+    """
+    gen = np.random.default_rng(3)
+    src = gen.integers(0, 3, size=(300, 4))
+    tgt = gen.integers(0, 3, size=(40, 4))
+    src[(src == 0).all(axis=1)] = 1
+    tgt[(tgt == 0).all(axis=1)] = 1
+    src[150:200] = src[:50]
+    tgt[20:30] = tgt[:10]
+    return make_matrix(src), make_matrix(tgt)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_case(name: str):
+    """(src, tgt, k, loop cosine table, forward and backward oracle neighbors)."""
+    if name == "ties":
+        src, tgt = tie_fixture()
+        k = 3
+    else:
+        gen = np.random.default_rng(20240817)
+        src, tgt = random_matrix(gen, 30, 5), random_matrix(gen, 24, 5)
+        k = 4
+    sims = np.array([[oracle_cosine(a, b) for b in tgt.data] for a in src.data])
+    return (src, tgt, k, sims, oracle_neighbors(src.data, tgt.data, k),
+            oracle_neighbors(tgt.data, src.data, k))
+
+
+def oracle_mine(name: str, direction: Direction, margin: Margin) -> dict:
+    """{(src row, tgt row): score} by the definition: each side's margin argmax
+    among its k oracle neighbors, lowest index on ties."""
+    _, _, k, sims, fwd_nn, bwd_nn = oracle_case(name)
+
+    def best(cands, score):
+        top = max(score(c) for c in cands)
+        return min(c for c in cands if score(c) == top), top
+
+    fwd = [best([j for j, _ in nn], lambda j: oracle_margin(sims, i, j, k, margin))
+           for i, nn in enumerate(fwd_nn)]
+    bwd = [best([i for i, _ in nn], lambda i: oracle_margin(sims, i, j, k, margin))
+           for j, nn in enumerate(bwd_nn)]
+    if direction is Direction.BACKWARD:
+        return {(i, j): s for j, (i, s) in enumerate(bwd)}
+    return {(i, j): s for i, (j, s) in enumerate(fwd)
+            if direction is Direction.FORWARD or bwd[j][0] == i}
 
 
 def block_diagonal_fixture():
@@ -65,11 +124,24 @@ class TestKnn:
     def test_matches_oracle(self, rng):
         queries = random_matrix(rng, 5, 3)
         db = random_matrix(rng, 4, 3)
-        expected = oracle_neighbors(queries.data, db.data, 2)
-        for nl, exp in zip(knn(queries, db, k_nn=2), expected):
-            assert [i for i, _ in nl.neighbors] == [i for i, _ in exp]
-            for (_, mine_cos), (_, oracle_cos) in zip(nl.neighbors, exp):
-                assert mine_cos == pytest.approx(oracle_cos, abs=1e-6)
+        src, tgt, k, _, fwd_nn, bwd_nn = oracle_case("ties")
+        cases = [(queries, db, 2, oracle_neighbors(queries.data, db.data, 2)),
+                 (src, tgt, k, fwd_nn), (tgt, src, k, bwd_nn)]
+        for q, d, k_nn, expected in cases:
+            for threads in (1, 8):
+                got = knn(q, d, k_nn=k_nn, threads=threads)
+                assert [[i for i, _ in nl.neighbors] for nl in got] == \
+                    [[i for i, _ in exp] for exp in expected]
+                for nl, exp in zip(got, expected):
+                    for (_, mine_cos), (_, oracle_cos) in zip(nl.neighbors, exp):
+                        assert mine_cos == pytest.approx(oracle_cos, abs=1e-6)
+
+    def test_tie_fixture_straddles_the_kth_neighbor(self):
+        _, _, k, sims, _, _ = oracle_case("ties")
+        by_row = -np.sort(-sims, axis=1)
+        by_col = -np.sort(-sims, axis=0)
+        assert (by_row[:, k - 1] == by_row[:, k]).sum() > 10
+        assert (by_col[k - 1] == by_col[k]).sum() > 10
 
     def test_errors(self, rng):
         q = random_matrix(rng, 2, 3)
@@ -164,6 +236,21 @@ class TestMinePairs:
             assert by_src[i].tgt_id == str(best[0])
             assert by_src[i].score == pytest.approx(best[1], abs=1e-9)
 
+    @pytest.mark.parametrize("name", ["random", "ties"])
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("margin", list(Margin))
+    def test_matches_loop_oracle(self, name, direction, margin):
+        src, tgt, k, _, _, _ = oracle_case(name)
+        expected = oracle_mine(name, direction, margin)
+        for threads in (1, 8):
+            pairs = mine_pairs(src, tgt, k_nn=k, direction=direction, margin=margin,
+                               threads=threads)
+            got = {(int(p.src_id), int(p.tgt_id)): p.score for p in pairs}
+            assert len(got) == len(pairs)
+            assert got.keys() == expected.keys()
+            for key, score in got.items():
+                assert score == pytest.approx(expected[key], abs=1e-12)
+
     def test_direction_backward(self, rng):
         src = random_matrix(rng, 4, 3)
         tgt = random_matrix(rng, 6, 3)
@@ -194,6 +281,15 @@ class TestMinePairs:
         pairs = mine_pairs(src, tgt, k_nn=3)
         keys = [(-p.score, p.src_id, p.tgt_id) for p in pairs]
         assert keys == sorted(keys)
+
+    def test_ratio_rejects_any_nonpositive_denominator(self):
+        # every candidate's denominator is positive, but (x2, t2)'s is not:
+        # t2's best cosine is -0.0995 and x2's is only 0.05
+        src = make_matrix([[1, 0, -0.1], [0, 1, -0.1], [0.05, 0, -1]])
+        tgt = make_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        with pytest.raises(MiningError, match="degenerate"):
+            mine_pairs(src, tgt, k_nn=1)
+        assert len(mine_pairs(src, tgt, k_nn=1, margin="distance")) == 3
 
     def test_nan_threshold_rejected(self, rng):
         with pytest.raises(MiningError):
@@ -268,6 +364,53 @@ class TestFilterOverlap:
                     ratio = a.src_segment.overlap_s(b.src_segment) / min(
                         a.src_segment.duration_s, b.src_segment.duration_s)
                     assert ratio <= 0.2 + 1e-12
+
+
+def margin_choice_fixture():
+    """x0's one cosine neighbor is t0 (cos 0.80), but t0 is also x1's exact
+    match, so t0's neighborhood mean is 1.0. t1 is a little farther from x0
+    (cos 0.78) and has no closer source, so x0's ratio margin is highest for
+    t1, which lies outside x0's k=1 cosine neighbors."""
+    src = make_matrix([[1.0, 0.0], [0.8, 0.6]], ids=("x0", "x1"))
+    tgt = make_matrix([[0.8, 0.6], [0.78, -math.sqrt(1 - 0.78 ** 2)]], ids=("t0", "t1"))
+    return src, tgt
+
+
+class TestMarginArgmaxScope:
+    def test_mining_restricts_argmax_to_knn(self):
+        src, tgt = margin_choice_fixture()
+        assert knn(src, tgt, 1)[0].neighbors[0][0] == 0
+        pairs = mine_pairs(src, tgt, k_nn=1)
+        assert sorted((p.src_id, p.tgt_id) for p in pairs) == [("x0", "t0"), ("x1", "t0")]
+
+    def test_simsearch_takes_argmax_over_all_targets(self):
+        src, tgt = margin_choice_fixture()
+        sims = np.array([[oracle_cosine(a, b) for b in tgt.data] for a in src.data])
+        assert oracle_margin(sims, 0, 1, 1) > oracle_margin(sims, 0, 0, 1)
+        assert simsearch_error_rate(src, tgt, {"x0": "t1", "x1": "t0"}, k_nn=1) == 0.0
+        assert simsearch_error_rate(src, tgt, {"x0": "t0", "x1": "t0"}, k_nn=1) == 0.5
+
+
+class TestStreamingMemory:
+    """Mining never holds an n x m cosine table: the traced peak stays below one."""
+
+    @pytest.mark.parametrize("op", ["mine_pairs", "simsearch_error_rate"])
+    def test_peak_below_one_table(self, op):
+        gen = np.random.default_rng(5)
+        n, m = 2000, 3000
+        src = make_matrix(gen.normal(size=(n, 8)), ids=tuple(f"s{i}" for i in range(n)))
+        tgt = make_matrix(gen.normal(size=(m, 8)), ids=tuple(f"t{j}" for j in range(m)))
+        gold = {f"s{i}": f"t{i}" for i in range(n)}
+        tracemalloc.start()
+        try:
+            if op == "mine_pairs":
+                mine_pairs(src, tgt, k_nn=4, direction="intersect")
+            else:
+                simsearch_error_rate(src, tgt, gold, k_nn=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * m * 8, f"{op} peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestSimsearch:
