@@ -97,6 +97,7 @@ class Adapter:
     _table: dict[str, str] | None = field(default=None, repr=False)
     _fn: Callable[[str], str] | None = field(default=None, repr=False)
     _command: list[str] | None = field(default=None, repr=False)
+    _cache_root: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         scheme, _, rest = self.endpoint.partition(":")
@@ -117,6 +118,7 @@ class Adapter:
                 "(expected mock: or exec:)")
         if self.cache_dir is not None:
             self.cache_dir = Path(self.cache_dir)
+            self._cache_root = os.path.join(self.cache_dir, self.kind, self.name)
 
     @staticmethod
     def _load_table(path: Path) -> dict[str, str]:
@@ -134,25 +136,30 @@ class Adapter:
 
     # cache -------------------------------------------------------------------
 
-    def _cache_path(self, line: str) -> Path | None:
-        if self.cache_dir is None:
+    def _cache_path(self, line: str) -> str | None:
+        if self._cache_root is None:
             return None
         key = f"{self.kind}\x00{self.name}\x00{self.endpoint}\x00{line}"
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-        return self.cache_dir / self.kind / self.name / digest[:2] / digest
+        return os.path.join(self._cache_root, digest[:2], digest)
 
     def _cache_get(self, line: str) -> str | None:
         path = self._cache_path(line)
-        if path is not None and path.exists():
-            return path.read_text(encoding="utf-8")
-        return None
+        if path is None:
+            return None
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return fh.read()
+        except (FileNotFoundError, NotADirectoryError):
+            return None
 
     def _cache_put(self, line: str, output: str) -> None:
         path = self._cache_path(line)
         if path is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+        parent = os.path.dirname(path)
+        os.makedirs(parent, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(output)
@@ -314,17 +321,41 @@ class PipelineSpec:
 # --- filters -----------------------------------------------------------------
 
 def levenshtein(a: Sequence, b: Sequence) -> int:
-    """Minimal number of insertions, deletions and substitutions."""
+    """Minimal number of insertions, deletions and substitutions.
+
+    Elements must be hashable. Uses the bit-parallel algorithm of Myers
+    (1999) in Hyyrö's global-distance form, with Python ints as bit
+    vectors over the shorter sequence: bit j of ``pv``/``mv`` is a +1/-1
+    vertical delta in row j of the DP column, and each element of the
+    longer sequence costs a constant number of big-int operations.
+    """
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, x in enumerate(a, start=1):
-        current = [i]
-        for j, y in enumerate(b, start=1):
-            cost = 0 if x == y else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
+    m = len(b)
+    if m == 0:
+        return len(a)
+    peq: dict = {}
+    for j, y in enumerate(b):
+        peq[y] = peq.get(y, 0) | (1 << j)
+    mask = (1 << m) - 1
+    last = 1 << (m - 1)
+    pv, mv, dist = mask, 0, m
+    for x in a:
+        eq = peq.get(x, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        # the shifted-in 1 is the +1 horizontal delta of the first DP row
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist
 
 
 def filter_code_switch(asr_text: str, subtitle: str, tokenizer: str = "char",
@@ -369,6 +400,7 @@ class CascadeReport:
     adapter_error_drops: int
     filter_drops: Mapping[str, int]
     field_parse_drops: int = 0
+    duplicate_id_drops: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -376,6 +408,7 @@ class CascadeReport:
             "output_count": self.output_count,
             "adapter_error_drops": self.adapter_error_drops,
             "field_parse_drops": self.field_parse_drops,
+            "duplicate_id_drops": self.duplicate_id_drops,
             "filter_drops": dict(self.filter_drops),
         }
 
@@ -407,7 +440,9 @@ def run_cascade(src: Manifest, spec: PipelineSpec,
     ``adapter_error``; records whose adapter output does not parse as the
     typed output field (``units``, ``duration_s``, ...) are dropped with
     reason ``field_parse_error``; filters drop in declaration order and
-    each is tallied. Surviving records keep the input order, and
+    each is tallied. When a stage writes ``id`` and surviving records
+    share an id, the first keeps it and the later ones are dropped with
+    reason ``duplicate_id``. Surviving records keep the input order, and
     kept + dropped always equals the input count.
     """
     _validate_spec(src, spec, adapters)
@@ -439,12 +474,23 @@ def run_cascade(src: Manifest, spec: PipelineSpec,
                 records[i] = None
                 filter_drops[label] += 1
 
-    kept = [rec for rec in records if rec is not None]
+    kept: list[Utterance] = []
+    seen_ids: set[str] = set()
+    duplicate_id_drops = 0
+    for rec in records:
+        if rec is None:
+            continue
+        if rec.id in seen_ids:
+            duplicate_id_drops += 1
+        else:
+            seen_ids.add(rec.id)
+            kept.append(rec)
     report = CascadeReport(
         input_count=len(src.records),
         output_count=len(kept),
         adapter_error_drops=adapter_error_drops,
         filter_drops=filter_drops,
         field_parse_drops=field_parse_drops,
+        duplicate_id_drops=duplicate_id_drops,
     )
     return with_records(src, kept), report

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 EMB1_MAGIC = b"EMB1"
+_NORMALIZE_BLOCK = 256  # rows per float64 block in l2_normalize
 
 
 class EmbeddingError(ValueError):
@@ -107,11 +108,19 @@ def l2_normalize(matrix: EmbeddingMatrix) -> tuple[EmbeddingMatrix, int]:
 
     Zero rows are passed through unchanged; their count is returned so
     callers can surface the data bug where it matters (similarity time).
+    Rows are converted to float64 once, one fixed-size block at a time,
+    so working memory stays a block beyond the float32 output.
     """
-    norms = np.linalg.norm(matrix.data.astype(np.float64), axis=1)
-    zero_rows = int(np.count_nonzero(norms == 0.0))
-    safe = np.where(norms == 0.0, 1.0, norms)
-    normalized = (matrix.data.astype(np.float64) / safe[:, None]).astype(np.float32)
+    data = matrix.data
+    normalized = np.empty_like(data)
+    zero_rows = 0
+    for start in range(0, data.shape[0], _NORMALIZE_BLOCK):
+        rows = data[start:start + _NORMALIZE_BLOCK].astype(np.float64)
+        norms = np.linalg.norm(rows, axis=1)
+        zero = norms == 0.0
+        zero_rows += int(np.count_nonzero(zero))
+        rows /= np.where(zero, 1.0, norms)[:, None]
+        normalized[start:start + _NORMALIZE_BLOCK] = rows
     return EmbeddingMatrix(data=normalized, ids=matrix.ids), zero_rows
 
 

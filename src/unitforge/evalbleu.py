@@ -14,17 +14,22 @@ Four tokenization schemes are supported:
 BLEU uses corpus-level modified n-gram precisions with clipping, a
 geometric mean over orders 1..4 and the standard brevity penalty. The
 default smoothing is none (any zero precision gives BLEU 0); NIST-style
-exponential smoothing is available via ``smoothing="exp"``.
+exponential smoothing is available via ``smoothing="exp"``. The corpus
+counts are column sums of per-segment sufficient statistics (clipped
+matches and totals per order, hypothesis and reference lengths), so they
+are exact under any split of the corpus.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .corpus import Manifest
 
@@ -82,7 +87,12 @@ _TONE_MARKS = {
 
 _SYLLABLE_SPLIT = re.compile(r"[\s\-]+")
 
+# Both syllable functions are pure, and Tai-lo has a few thousand distinct
+# syllables, so they are memoized; the bound caps memory on arbitrary text.
+_SYLLABLE_CACHE_SIZE = 1 << 16
 
+
+@functools.lru_cache(maxsize=_SYLLABLE_CACHE_SIZE)
 def tailo_digit_form(syllable: str) -> str:
     """Normalize one syllable to lowercase digit-tone form.
 
@@ -104,6 +114,7 @@ def tailo_digit_form(syllable: str) -> str:
     return body + tone
 
 
+@functools.lru_cache(maxsize=_SYLLABLE_CACHE_SIZE)
 def tailo_split_syllable(syllable: str) -> tuple[str, str]:
     """Split a Tai-lo syllable into (initial, final_with_tone).
 
@@ -195,12 +206,65 @@ class BleuReport:
         }
 
 
-def _ngram_counts(tokens: Sequence[str], max_n: int) -> Counter:
-    counts: Counter = Counter()
+_NO_KEY = np.iinfo(np.int64).max
+_STATS_BLOCK = 256  # segments counted together; bounds the working memory
+
+
+def _bleu_stats(hyps: TokenizedCorpus, refs: TokenizedCorpus, max_n: int) -> np.ndarray:
+    """Per-segment BLEU sufficient statistics, one int64 row per segment.
+
+    Columns ``0..max_n-1`` hold the clipped n-gram matches of orders
+    1..max_n, columns ``max_n..2*max_n-1`` the hypothesis n-gram totals,
+    then the hypothesis length and the reference length. Rows depend on
+    their own segment only, so blocks of segments are counted separately.
+    """
+    stats = np.empty((len(hyps), 2 * max_n + 2), dtype=np.int64)
+    for lo in range(0, len(hyps), _STATS_BLOCK):
+        hi = lo + _STATS_BLOCK
+        stats[lo:hi] = _block_stats(hyps.segments[lo:hi], refs.segments[lo:hi], max_n)
+    return stats
+
+
+def _block_stats(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]],
+                 max_n: int) -> np.ndarray:
+    n_seg = len(hyps)
+    hyp_lens = np.fromiter(map(len, hyps), np.int64, n_seg)
+    ref_lens = np.fromiter(map(len, refs), np.int64, n_seg)
+    lens = np.concatenate([hyp_lens, ref_lens])
+    vocab: dict[str, int] = {}
+    tokens = np.fromiter(
+        (vocab.setdefault(tok, len(vocab))
+         for segs in (hyps, refs) for seg in segs for tok in seg),
+        np.int64, int(lens.sum()))
+    n_tok = len(tokens)
+    n_hyp_tok = int(hyp_lens.sum())
+    seg = np.repeat(np.arange(2 * n_seg) % n_seg, lens)
+    # tokens from each position to the end of its segment, inclusive
+    left = np.repeat(np.cumsum(lens), lens) - np.arange(n_tok)
+
+    stats = np.zeros((n_seg, 2 * max_n + 2), dtype=np.int64)
+    stats[:, -2] = hyp_lens
+    stats[:, -1] = ref_lens
+    gram = tokens  # dense id of the n-gram starting at each position
     for n in range(1, max_n + 1):
-        for i in range(len(tokens) - n + 1):
-            counts[tuple(tokens[i:i + n])] += 1
-    return counts
+        if n > 1:
+            # (n-1)-gram id and next token as one exact scalar key:
+            # ids < n_tok and tokens < len(vocab) <= n_tok, so no overflow
+            key = gram[:max(n_tok - n + 1, 0)] * len(vocab) + tokens[n - 1:]
+            _, gram = np.unique(key, return_inverse=True)
+        n_gram = int(gram.max()) + 1 if len(gram) else 1
+        valid = left[:len(gram)] >= n
+        keys = seg[:len(gram)] * n_gram + gram  # one key per (segment, n-gram)
+        hyp_keys, hyp_counts = np.unique(
+            keys[:n_hyp_tok][valid[:n_hyp_tok]], return_counts=True)
+        # the sentinel exceeds every key, so each search lands in range
+        ref_keys, ref_counts = np.unique(
+            np.append(keys[n_hyp_tok:][valid[n_hyp_tok:]], _NO_KEY), return_counts=True)
+        at = np.searchsorted(ref_keys, hyp_keys)
+        clipped = np.where(ref_keys[at] == hyp_keys, np.minimum(hyp_counts, ref_counts[at]), 0)
+        stats[:, n - 1] = np.bincount(hyp_keys // n_gram, weights=clipped, minlength=n_seg)
+        stats[:, max_n + n - 1] = np.maximum(hyp_lens - (n - 1), 0)
+    return stats
 
 
 def corpus_bleu(hyps: TokenizedCorpus, refs: TokenizedCorpus,
@@ -215,18 +279,9 @@ def corpus_bleu(hyps: TokenizedCorpus, refs: TokenizedCorpus,
     if hyps.tokenizer_tag != refs.tokenizer_tag:
         raise BleuError(f"tokenizer mismatch: {hyps.tokenizer_tag} vs {refs.tokenizer_tag}")
 
-    correct = [0] * max_n
-    total = [0] * max_n
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in zip(hyps.segments, refs.segments):
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        ref_counts = _ngram_counts(ref, max_n)
-        for ngram, count in _ngram_counts(hyp, max_n).items():
-            n = len(ngram)
-            correct[n - 1] += min(count, ref_counts.get(ngram, 0))
-            total[n - 1] += count
+    sums = _bleu_stats(hyps, refs, max_n).sum(axis=0).tolist()
+    correct, total = sums[:max_n], sums[max_n:2 * max_n]
+    hyp_len, ref_len = sums[-2:]
 
     precisions = [0.0] * max_n
     smooth_factor = 1.0

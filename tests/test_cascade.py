@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
+import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -27,6 +30,68 @@ def lev_recursive(a: tuple, b: tuple) -> int:
         lev_recursive(a, b[1:]) + 1,
         lev_recursive(a[1:], b[1:]) + (a[0] != b[0]),
     )
+
+
+def dp_levenshtein(a, b) -> int:
+    """The cell-by-cell dynamic program, kept as the oracle."""
+    if len(a) < len(b):
+        a, b = b, a
+    previous = list(range(len(b) + 1))
+    for i, x in enumerate(a, start=1):
+        current = [i]
+        for j, y in enumerate(b, start=1):
+            cost = 0 if x == y else 1
+            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
+        previous = current
+    return previous[-1]
+
+
+def dp_levenshtein_batch(pairs) -> list[int]:
+    """The same dynamic program, one DP row of many pairs per numpy step.
+
+    Pairs are padded to common lengths; padding only reaches cells past a
+    pair's own last row and column. Within a row the left-neighbour chain
+    ``cur[j] = min(cand[j], cur[j-1] + 1)`` is
+    ``j + cummin(cand[k] - k for k <= j)``.
+    """
+    order = sorted(range(len(pairs)), key=lambda p: -len(pairs[p][0]))
+    pairs = [pairs[p] for p in order]
+    codes: dict = {}
+    la = len(pairs[0][0])
+    lb = max(len(b) for _, b in pairs)
+    a_codes = np.full((len(pairs), la), -1, dtype=np.int16)
+    b_codes = np.full((len(pairs), lb), -2, dtype=np.int16)
+    for p, (a, b) in enumerate(pairs):
+        a_codes[p, :len(a)] = [codes.setdefault(x, len(codes)) for x in a]
+        b_codes[p, :len(b)] = [codes.setdefault(y, len(codes)) for y in b]
+    len_a = np.array([len(a) for a, _ in pairs])
+    len_b = np.array([len(b) for _, b in pairs])
+    steps = np.arange(lb + 1, dtype=np.int16)
+    previous = np.tile(steps, (len(pairs), 1))
+    result = np.where(len_a == 0, len_b, -1)
+    for i in range(1, la + 1):
+        live = int(np.count_nonzero(len_a >= i))  # pairs are sorted by len(a), longest first
+        current = np.empty_like(previous[:live])
+        current[:, 0] = i
+        np.minimum(previous[:live, 1:] + 1,
+                   previous[:live, :-1] + (b_codes[:live] != a_codes[:live, i - 1:i]),
+                   out=current[:, 1:])
+        previous = np.minimum.accumulate(current - steps, axis=1) + steps
+        done = np.flatnonzero(len_a[:live] == i)
+        result[done] = previous[done, len_b[done]]
+    out = [0] * len(pairs)
+    for p, value in zip(order, result.tolist()):
+        out[p] = value
+    return out
+
+
+def random_pairs(rng: random.Random, count: int, max_len: int):
+    pairs = []
+    for _ in range(count):
+        alphabet = rng.randint(1, 6)
+        pairs.append(tuple([rng.randrange(alphabet) for _ in range(rng.randint(0, max_len))]
+                           for _ in range(2)))
+    return pairs
 
 
 class TestLevenshtein:
@@ -54,6 +119,28 @@ class TestLevenshtein:
         assert levenshtein(a, b) == levenshtein(b, a)
         assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
         assert (levenshtein(a, b) == 0) == (a == b)
+
+    def test_batch_oracle_matches_dp(self):
+        pairs = random_pairs(random.Random(3), 300, 40)
+        assert dp_levenshtein_batch(pairs) == [dp_levenshtein(a, b) for a, b in pairs]
+
+    def test_random_pairs_match_dp(self):
+        # Lengths above 64 span several machine words of the bit vectors.
+        # Mutation check: without the `| 1` shifted into the horizontal
+        # delta (the global first row), this test fails.
+        pairs = random_pairs(random.Random(11), 5000, 200)
+        assert [levenshtein(a, b) for a, b in pairs] == dp_levenshtein_batch(pairs)
+
+    def test_string_tokens_and_edges(self):
+        rng = random.Random(5)
+        words = ["tai5", "lo5", "su1", "ang5", "gi2", "a"]
+        cases = [([], []), ([], ["a"]), (["a"] * 70, []), ([], list(range(130)))]
+        for n in (1, 5, 63, 64, 65, 129, 200):
+            seq = [rng.choice(words) for _ in range(n)]
+            other = [rng.choice(words) for _ in range(rng.randint(0, 200))]
+            cases += [(seq, seq), (seq, seq[::-1]), (seq, other), ("".join(seq), "".join(other))]
+        for a, b in cases:
+            assert levenshtein(a, b) == levenshtein(b, a) == dp_levenshtein(a, b), (a, b)
 
 
 class TestFilters:
@@ -163,6 +250,20 @@ class TestAdapters:
         assert repointed.run(["hello"]) == ["olleh"]
         assert first.run(["hello"]) == ["HELLO"]
 
+    def test_cache_layout_is_stable(self, tmp_path):
+        # an entry planted at cache/kind/name/<sha256[:2]>/<sha256> of
+        # kind NUL name NUL endpoint NUL input is served as is
+        key = "mt\x00up\x00mock:upper\x00hello".encode("utf-8")
+        digest = hashlib.sha256(key).hexdigest()
+        entry = tmp_path / "cache" / "mt" / "up" / digest[:2] / digest
+        entry.parent.mkdir(parents=True)
+        entry.write_text("planted", encoding="utf-8")
+        adapter = make_adapter("mt", "up", "mock:upper", cache_dir=tmp_path / "cache")
+        assert adapter.run(["hello", "world"]) == ["planted", "WORLD"]
+        digest = hashlib.sha256("mt\x00up\x00mock:upper\x00world".encode("utf-8")).hexdigest()
+        written = tmp_path / "cache" / "mt" / "up" / digest[:2] / digest
+        assert written.read_text(encoding="utf-8") == "WORLD"
+
 
 class TestRunCascade:
     def test_identity_stage_copies_field(self):
@@ -221,6 +322,28 @@ class TestRunCascade:
         assert report.to_dict()["field_parse_drops"] == 2
         assert (report.output_count + report.adapter_error_drops + report.field_parse_drops
                 + sum(report.filter_drops.values())) == report.input_count == 5
+
+    def test_duplicate_ids_keep_first_survivor(self):
+        spec = PipelineSpec.from_dict({
+            "adapters": {"copy": "mock:identity"},
+            "stages": [{"adapter": "copy", "in": "lang", "out": "id"}],
+            "filters": [{"kind": "min_length", "params": {"field": "text", "min_chars": 2}}],
+        })
+        langs = ["en", "en", "nan", "en", "nan"]
+        texts = ["x", "second", "third", "fourth", "fifth"]
+        src = Manifest(records=tuple(
+            Utterance(id=f"u{i}", lang=lang, text=text)
+            for i, (lang, text) in enumerate(zip(langs, texts))))
+        out, report = run_cascade(src, spec, adapters_for(spec))
+        # the first "en" record is filtered out, so the second one keeps the id
+        assert out.ids() == ("en", "nan")
+        assert [r.text for r in out] == ["second", "third"]
+        assert report.duplicate_id_drops == 2
+        assert report.to_dict()["duplicate_id_drops"] == 2
+        assert report.filter_drops == {"0:min_length": 1}
+        assert (report.output_count + report.adapter_error_drops + report.field_parse_drops
+                + report.duplicate_id_drops + sum(report.filter_drops.values())) \
+            == report.input_count == 5
 
     def test_unparsable_duration_dropped(self):
         spec = PipelineSpec.from_dict({

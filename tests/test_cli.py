@@ -79,6 +79,27 @@ class TestExitCodes:
         assert got["field_parse_drops"] == 1
         assert got["output_count"] + got["field_parse_drops"] == got["input_count"] == 3
 
+    def test_cascade_duplicate_ids_dropped_not_fatal(self, tmp_path):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(
+            "id\tlang\taudio\tduration_s\tspeaker\ttext\tunits\n"
+            "u0\ten\t\t\t\tfirst\t\n"
+            "u1\ten\t\t\t\tsecond\t\n", encoding="utf-8")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "adapters": {"copy": "mock:identity"},
+            "stages": [{"adapter": "copy", "in": "lang", "out": "id"}]}))
+        out, report = tmp_path / "out.tsv", tmp_path / "report.json"
+        code = dispatch(["cascade", "run", "--spec", str(spec), "--in", str(manifest),
+                         "--out", str(out), "--report", str(report)])
+        assert code == 0
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert [r.split("\t")[0] for r in rows] == ["en"]
+        assert [r.split("\t")[5] for r in rows] == ["first"]
+        got = json.loads(report.read_text())
+        assert got["duplicate_id_drops"] == 1
+        assert got["output_count"] + got["duplicate_id_drops"] == got["input_count"] == 2
+
     def test_happy_path_balance(self, workspace, tmp_path):
         out = tmp_path / "dist.json"
         code = dispatch(["balance", "--counts", str(workspace["counts.tsv"]),

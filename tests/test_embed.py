@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -94,6 +96,26 @@ class TestNormalize:
         normalized, warnings = l2_normalize(make_matrix([[0.0, 0.0], [1.0, 0.0]]))
         np.testing.assert_array_equal(normalized.data[0], [0.0, 0.0])
         assert warnings == 1
+
+    def test_bytes_match_whole_matrix_formula(self, rng):
+        # 600 rows span three blocks; zero rows sit in two of them
+        data = rng.normal(scale=3.0, size=(600, 33)).astype(np.float32)
+        data[[0, 300, 301]] = 0.0
+        normalized, zero_rows = l2_normalize(make_matrix(data))
+        norms = np.linalg.norm(data.astype(np.float64), axis=1)
+        want = (data.astype(np.float64) / np.where(norms == 0.0, 1.0, norms)[:, None])
+        assert normalized.data.tobytes() == want.astype(np.float32).tobytes()
+        assert zero_rows == 3
+
+    def test_traced_peak_below_one_and_a_half_float64_copies(self, rng):
+        matrix = make_matrix(rng.normal(size=(2000, 256)))
+        tracemalloc.start()
+        try:
+            l2_normalize(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * matrix.data.size * 8
 
     def test_cosine_equals_dot_after_normalize(self, rng):
         m = make_matrix(rng.normal(size=(20, 6)))

@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+import random
+import unicodedata
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from unitforge import evalbleu
 from unitforge.corpus import Manifest, Utterance
 from unitforge.evalbleu import (
     BleuError, TokenizedCorpus, asr_bleu, corpus_bleu,
@@ -111,6 +116,166 @@ class TestTailoSplit:
 
 def corp(lines, scheme="word13a"):
     return tokenize_corpus(lines, scheme)
+
+
+# --- oracles for the memoized tokenizer and the numpy BLEU statistics --------
+
+def fresh_digit_form(syllable):
+    """Digit-tone form from unicodedata alone, recomputed on every call."""
+    tone, kept = "", []
+    for ch in unicodedata.normalize("NFD", syllable.casefold()):
+        if ch in evalbleu._TONE_MARKS:
+            tone = tone or evalbleu._TONE_MARKS[ch]
+        else:
+            kept.append(ch)
+    body = unicodedata.normalize("NFC", "".join(kept))
+    return body if body and body[-1].isdigit() else body + tone
+
+
+def fresh_tokenize(text, scheme):
+    syllables = [fresh_digit_form(tok) for tok in text.replace("-", " ").split()]
+    if scheme == "tailo_syllable":
+        return syllables
+    tokens = []
+    for norm in syllables:
+        body = norm[:-1] if norm and norm[-1].isdigit() else norm
+        initial = next((ini for ini in evalbleu.TAILO_INITIALS
+                        if body.startswith(ini) and body[len(ini):]
+                        and (body[len(ini)] in "aeiou"
+                             or body[len(ini):] in ("m", "mh", "ng", "ngh"))), "")
+        tokens += [initial, norm[len(initial):]] if initial else [norm]
+    return tokens
+
+
+def counter_bleu_stats(hyps, refs, max_n):
+    """The per-segment Counter loop the numpy statistics replace."""
+    def ngram_counts(tokens):
+        counts = Counter()
+        for n in range(1, max_n + 1):
+            for i in range(len(tokens) - n + 1):
+                counts[tuple(tokens[i:i + n])] += 1
+        return counts
+
+    rows = []
+    for hyp, ref in zip(hyps.segments, refs.segments):
+        row = [0] * (2 * max_n + 2)
+        ref_counts = ngram_counts(ref)
+        for ngram, count in ngram_counts(hyp).items():
+            row[len(ngram) - 1] += min(count, ref_counts.get(ngram, 0))
+            row[max_n + len(ngram) - 1] += count
+        row[-2:] = [len(hyp), len(ref)]
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 2 * max_n + 2)
+
+
+def assert_matches_counter_oracle(hyps, refs, monkeypatch):
+    for max_n in (1, 2, 4, 6):
+        want = counter_bleu_stats(hyps, refs, max_n)
+        for block in (2, evalbleu._STATS_BLOCK):
+            with monkeypatch.context() as patch:
+                patch.setattr(evalbleu, "_STATS_BLOCK", block)
+                stats = evalbleu._bleu_stats(hyps, refs, max_n)
+            assert stats.dtype == np.int64
+            np.testing.assert_array_equal(stats, want)
+    for smoothing in ("none", "exp"):
+        got = corpus_bleu(hyps, refs, smoothing=smoothing)
+        with monkeypatch.context() as patch:
+            patch.setattr(evalbleu, "_bleu_stats", counter_bleu_stats)
+            want = corpus_bleu(hyps, refs, smoothing=smoothing)
+        assert got == want
+        assert type(got.hyp_len) is int and type(got.ref_len) is int
+
+
+_TONE_DIACRITICS = ("", "\u0301", "\u0300", "\u0302", "\u030c", "\u0304", "\u030d", "\u030b")
+
+
+def random_tailo_syllable(rng):
+    initial = rng.choice(TAILO_INITIALS_ALL)
+    final = rng.choice(TAILO_FINALS)
+    if rng.random() < 0.5:
+        return initial + final + rng.choice("123456789")
+    # tone as a diacritic on the first letter of the final, composed or not
+    mark = rng.choice(_TONE_DIACRITICS)
+    syllable = initial + final[0] + mark + final[1:]
+    syllable = unicodedata.normalize(rng.choice(("NFC", "NFD")), syllable)
+    return syllable.upper() if rng.random() < 0.1 else syllable
+
+
+def random_tailo_corpus(rng, scheme):
+    refs, hyps = [], []
+    for _ in range(rng.randint(1, 12)):
+        ref = [random_tailo_syllable(rng) for _ in range(rng.randint(0, 14))]
+        hyp = [rng.choice(ref) if ref and rng.random() < 0.2 else tok for tok in ref]
+        if rng.random() < 0.3:
+            hyp = hyp[:rng.randint(0, len(hyp))]
+        if rng.random() < 0.3:
+            hyp += [random_tailo_syllable(rng) for _ in range(rng.randint(1, 4))]
+        refs.append(rng.choice(("-", " ")).join(ref))
+        hyps.append(" ".join(hyp))
+    return tokenize_corpus(hyps, scheme), tokenize_corpus(refs, scheme)
+
+
+class TestTokenizerMemo:
+    @pytest.mark.parametrize("scheme", ["tailo_syllable", "tailo_initial_final"])
+    def test_memoized_equals_fresh_computation(self, scheme):
+        rng = random.Random(17)
+        lines = [" ".join(random_tailo_syllable(rng) for _ in range(rng.randint(1, 20)))
+                 for _ in range(300)]
+        tailo_digit_form.cache_clear()
+        tailo_split_syllable.cache_clear()
+        for _ in range(2):  # cold cache, then every syllable a hit
+            assert [tokenize(line, scheme) for line in lines] == \
+                [fresh_tokenize(line, scheme) for line in lines]
+        assert tailo_digit_form.cache_info().hits > 0
+
+    def test_memo_is_bounded(self):
+        for fn in (tailo_digit_form, tailo_split_syllable):
+            assert fn.cache_info().maxsize == evalbleu._SYLLABLE_CACHE_SIZE
+
+    def test_empty_syllable_still_rejected_after_a_hit(self):
+        assert tailo_split_syllable("tsa1") == ("ts", "a1")
+        for _ in range(2):
+            with pytest.raises(BleuError):
+                tailo_split_syllable("")
+
+
+class TestBleuStats:
+    def test_reference_fixtures_match_counter_oracle(self, monkeypatch):
+        cases = json.loads((DATA / "bleu_cases.json").read_text(encoding="utf-8"))
+        for case in cases:
+            for scheme in ("word13a", "char"):
+                assert_matches_counter_oracle(
+                    corp(case["hyps"], scheme), corp(case["refs"], scheme), monkeypatch)
+
+    def test_random_tailo_corpora_match_counter_oracle(self, monkeypatch):
+        rng = random.Random(29)
+        for i in range(200):
+            hyps, refs = random_tailo_corpus(
+                rng, ("tailo_syllable", "tailo_initial_final")[i % 2])
+            assert_matches_counter_oracle(hyps, refs, monkeypatch)
+
+    def test_empty_segments(self, monkeypatch):
+        hyps = TokenizedCorpus(((), ("a",), (), ("a", "b")), "char")
+        refs = TokenizedCorpus((("a",), (), (), ("a", "b")), "char")
+        assert_matches_counter_oracle(hyps, refs, monkeypatch)
+        assert_matches_counter_oracle(TokenizedCorpus(((),), "char"),
+                                      TokenizedCorpus(((),), "char"), monkeypatch)
+
+    def test_shards_sum_to_whole(self):
+        rng = random.Random(31)
+        hyps, refs = random_tailo_corpus(rng, "tailo_initial_final")
+        while len(hyps) < 9:
+            more = random_tailo_corpus(rng, "tailo_initial_final")
+            hyps = TokenizedCorpus(hyps.segments + more[0].segments, hyps.tokenizer_tag)
+            refs = TokenizedCorpus(refs.segments + more[1].segments, refs.tokenizer_tag)
+        whole = evalbleu._bleu_stats(hyps, refs, 4)
+        cuts = [0, len(hyps) // 3, 2 * len(hyps) // 3, len(hyps)]
+        shards = [evalbleu._bleu_stats(
+            TokenizedCorpus(hyps.segments[lo:hi], hyps.tokenizer_tag),
+            TokenizedCorpus(refs.segments[lo:hi], refs.tokenizer_tag), 4)
+            for lo, hi in zip(cuts, cuts[1:])]
+        np.testing.assert_array_equal(np.vstack(shards), whole)
+        np.testing.assert_array_equal(sum(s.sum(axis=0) for s in shards), whole.sum(axis=0))
 
 
 class TestCorpusBleu:
