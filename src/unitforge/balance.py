@@ -125,7 +125,8 @@ def sample_schedule(dist: SamplingDistribution, pools: Mapping[str, Sequence[str
     rng = np.random.default_rng(seed)
     lang_draws = rng.choice(len(langs), size=total, p=probs)
     item_draws = rng.integers(0, sizes[lang_draws])
-    return [pools[langs[ld]][int(it)] for ld, it in zip(lang_draws, item_draws)]
+    lang_pools = [pools[lang] for lang in langs]
+    return [lang_pools[ld][it] for ld, it in zip(lang_draws.tolist(), item_draws.tolist())]
 
 
 def read_counts_tsv(path: str | Path) -> LanguageCounts:

@@ -6,16 +6,18 @@ without pulling them into this package. Two endpoint schemes exist:
 * ``mock:NAME`` - deterministic in-process functions for tests and dry
   runs (``identity``, ``upper``, ``lower``, ``reverse``, ``char_units``,
   ``fail``); any other value is read as a two-column TSV lookup table
-  mapping input line to output line.
+  mapping input line to output line. Mocks are called directly and
+  never cached.
 * ``exec:COMMAND`` - an external command speaking a line protocol: one
   input string per line on stdin, one output string per line on stdout,
   line-aligned.
 
-Adapter outputs can be cached in a content-addressed on-disk store keyed
-by (kind, name, endpoint, input), so re-running a cascade over a large
-manifest only recomputes misses, and an adapter pointed at a new
-endpoint never serves the old endpoint's outputs. Cache writes are
-atomic (write then rename).
+Given a cache directory, ``exec:`` outputs are cached in a
+content-addressed on-disk store keyed by (kind, name, endpoint, input),
+so re-running a cascade over a large manifest only recomputes misses,
+and an adapter pointed at a new endpoint never serves the old
+endpoint's outputs. Cache writes are atomic (write then rename). An
+input containing a line break fails on both schemes.
 """
 
 from __future__ import annotations
@@ -30,12 +32,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .corpus import Manifest, Utterance, with_records
+from .corpus import TSV_COLUMNS, Manifest, Utterance, with_records
 from .evalbleu import tokenize
-
-CACHE_ENV_VAR = "UNITFORGE_CACHE_DIR"
-
-CORE_FIELDS = ("id", "lang", "audio", "duration_s", "speaker", "text", "units")
 
 FILTER_KINDS = ("min_length", "code_switch")
 
@@ -57,10 +55,6 @@ class AdapterError(RuntimeError):
 
 # --- adapters ----------------------------------------------------------------
 
-class _MockFailure(Exception):
-    pass
-
-
 def _mock_char_units(line: str) -> str:
     return " ".join(str(ord(ch) % 2500) for ch in line)
 
@@ -74,12 +68,15 @@ _BUILTIN_MOCKS: dict[str, Callable[[str], str]] = {
 }
 
 
-def _fail_mock(substring: str) -> Callable[[str], str]:
-    def fn(line: str) -> str:
-        if substring in line:
-            raise _MockFailure(f"mock failure triggered by {substring!r}")
-        return line
+def _fail_mock(substring: str) -> Callable[[str], str | None]:
+    def fn(line: str) -> str | None:
+        return None if substring in line else line
     return fn
+
+
+def _sendable(line: str) -> bool:
+    """Whether ``line`` is expressible in the line protocol."""
+    return "\n" not in line and "\r" not in line
 
 
 @dataclass
@@ -87,19 +84,20 @@ class Adapter:
     """A deterministic model invocation endpoint.
 
     ``run`` raises :class:`AdapterError` if any input fails; ``try_run``
-    returns ``None`` for failed inputs instead.
+    returns ``None`` for failed inputs instead. Only ``exec:`` adapters
+    use ``cache_dir``; a ``mock:`` adapter ignores it.
     """
 
     kind: str
     name: str
     endpoint: str
     cache_dir: Path | None = None
-    _table: dict[str, str] | None = field(default=None, repr=False)
-    _fn: Callable[[str], str] | None = field(default=None, repr=False)
-    _command: list[str] | None = field(default=None, repr=False)
+    _fn: Callable[[str], str | None] | None = field(default=None, init=False, repr=False)
+    _command: list[str] | None = field(default=None, init=False, repr=False)
     _cache_root: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        self.cache_dir = Path(self.cache_dir) if self.cache_dir else None
         scheme, _, rest = self.endpoint.partition(":")
         if scheme == "mock":
             if rest in _BUILTIN_MOCKS:
@@ -107,18 +105,17 @@ class Adapter:
             elif rest == "fail" or rest.startswith("fail:"):
                 self._fn = _fail_mock(rest.partition(":")[2])
             else:
-                self._table = self._load_table(Path(rest))
+                self._fn = self._load_table(Path(rest)).get
         elif scheme == "exec":
             if not rest.strip():
                 raise CascadeError(f"adapter {self.name!r}: empty exec command")
             self._command = shlex.split(rest)
+            if self.cache_dir is not None:
+                self._cache_root = os.path.join(self.cache_dir, self.kind, self.name)
         else:
             raise CascadeError(
                 f"adapter {self.name!r}: unknown endpoint scheme {scheme!r} "
                 "(expected mock: or exec:)")
-        if self.cache_dir is not None:
-            self.cache_dir = Path(self.cache_dir)
-            self._cache_root = os.path.join(self.cache_dir, self.kind, self.name)
 
     @staticmethod
     def _load_table(path: Path) -> dict[str, str]:
@@ -134,29 +131,22 @@ class Adapter:
             table[cols[0]] = cols[1]
         return table
 
-    # cache -------------------------------------------------------------------
+    # cache (exec: only) ---------------------------------------------------------
 
-    def _cache_path(self, line: str) -> str | None:
-        if self._cache_root is None:
-            return None
+    def _cache_path(self, line: str) -> str:
         key = f"{self.kind}\x00{self.name}\x00{self.endpoint}\x00{line}"
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
         return os.path.join(self._cache_root, digest[:2], digest)
 
     def _cache_get(self, line: str) -> str | None:
-        path = self._cache_path(line)
-        if path is None:
-            return None
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(self._cache_path(line), encoding="utf-8") as fh:
                 return fh.read()
         except (FileNotFoundError, NotADirectoryError):
             return None
 
     def _cache_put(self, line: str, output: str) -> None:
         path = self._cache_path(line)
-        if path is None:
-            return
         parent = os.path.dirname(path)
         os.makedirs(parent, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp-")
@@ -172,50 +162,37 @@ class Adapter:
     # execution ----------------------------------------------------------------
 
     def try_run(self, inputs: Sequence[str]) -> list[str | None]:
-        outputs: list[str | None] = [None] * len(inputs)
-        misses: list[int] = []
-        for i, line in enumerate(inputs):
-            if "\n" in line or "\r" in line:
-                continue  # stays None: not expressible in the line protocol
-            cached = self._cache_get(line)
-            if cached is not None:
-                outputs[i] = cached
-            else:
-                misses.append(i)
+        if self._fn is not None:
+            return [self._fn(line) if _sendable(line) else None for line in inputs]
 
-        if misses and self._command is not None:
-            self._run_exec([inputs[i] for i in misses], misses, outputs)
-        else:
+        outputs: list[str | None] = [None] * len(inputs)
+        misses = [i for i, line in enumerate(inputs) if _sendable(line)]
+        if self._cache_root is not None:
             for i in misses:
-                line = inputs[i]
-                try:
-                    if self._table is not None:
-                        if line not in self._table:
-                            continue
-                        out = self._table[line]
-                    else:
-                        out = self._fn(line)
-                except _MockFailure:
-                    continue
-                outputs[i] = out
-                self._cache_put(line, out)
+                outputs[i] = self._cache_get(inputs[i])
+            misses = [i for i in misses if outputs[i] is None]
+        produced = self._run_exec([inputs[i] for i in misses]) if misses else None
+        if produced is None:
+            return outputs  # nothing to run, or every miss failed
+        for i, out in zip(misses, produced):
+            outputs[i] = out
+            if self._cache_root is not None:
+                self._cache_put(inputs[i], out)
         return outputs
 
-    def _run_exec(self, lines: list[str], positions: list[int],
-                  outputs: list[str | None]) -> None:
+    def _run_exec(self, lines: list[str]) -> list[str] | None:
+        """One child process over ``lines``; ``None`` if it fails."""
         proc = subprocess.run(
             self._command, input="\n".join(lines) + "\n",
             capture_output=True, text=True)
         if proc.returncode != 0:
-            return  # all misses stay failed
+            return None
         produced = proc.stdout.split("\n")
         if produced and produced[-1] == "":
             produced.pop()
         if len(produced) != len(lines):
-            return  # line misalignment: cannot attribute outputs safely
-        for pos, line, out in zip(positions, lines, produced):
-            outputs[pos] = out
-            self._cache_put(line, out)
+            return None  # line misalignment: cannot attribute outputs safely
+        return produced
 
     def run(self, inputs: Sequence[str]) -> list[str]:
         outputs = self.try_run(inputs)
@@ -227,11 +204,7 @@ class Adapter:
 
 def make_adapter(kind: str, name: str, endpoint: str,
                  cache_dir: str | Path | None = None) -> Adapter:
-    if cache_dir is None:
-        env = os.environ.get(CACHE_ENV_VAR)
-        cache_dir = Path(env) if env else None
-    return Adapter(kind=kind, name=name, endpoint=endpoint,
-                   cache_dir=Path(cache_dir) if cache_dir else None)
+    return Adapter(kind=kind, name=name, endpoint=endpoint, cache_dir=cache_dir)
 
 
 # --- record fields -----------------------------------------------------------
@@ -268,7 +241,7 @@ def set_field(rec: Utterance, name: str, value: str) -> Utterance:
     if name == "text":
         return replace(rec, text=value)
     if name == "units":
-        return replace(rec, units=tuple(int(tok) for tok in value.split()) or None)
+        return replace(rec, units=value.split() or None)
     extra = dict(rec.extra)
     extra[name] = value
     return replace(rec, extra=extra)
@@ -415,7 +388,7 @@ class CascadeReport:
 
 def _validate_spec(src: Manifest, spec: PipelineSpec,
                    adapters: Mapping[str, Adapter]) -> None:
-    available = set(CORE_FIELDS)
+    available = set(TSV_COLUMNS)
     for rec in src:
         available.update(rec.extra)
     for i, stage in enumerate(spec.stages):

@@ -243,6 +243,10 @@ def _cmd_cascade_run(args) -> int:
 
 # --- parser ------------------------------------------------------------------
 
+_CACHE_DIR_HELP = ("cache exec: adapter outputs here; mock: adapters are never cached, "
+                   "and $UNITFORGE_CACHE_DIR is not read")
+
+
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
@@ -376,7 +380,7 @@ def build_parser() -> _Parser:
     p.add_argument("--asr", required=True, help="adapter endpoint (mock:... or exec:...)")
     p.add_argument("--tokenizer", choices=evalbleu.TOKENIZER_TAGS, default="tailo_syllable")
     p.add_argument("--smoothing", choices=("none", "exp"), default="none")
-    p.add_argument("--cache-dir")
+    p.add_argument("--cache-dir", help=_CACHE_DIR_HELP)
     p.add_argument("--out")
     p.add_argument("--stdout", action="store_true")
     p.set_defaults(func=_cmd_asr_bleu)
@@ -391,7 +395,7 @@ def build_parser() -> _Parser:
     p.add_argument("--report")
     p.add_argument("--adapter", action="append", metavar="NAME=ENDPOINT",
                    help="override or supply an adapter endpoint")
-    p.add_argument("--cache-dir")
+    p.add_argument("--cache-dir", help=_CACHE_DIR_HELP)
     p.set_defaults(func=_cmd_cascade_run)
 
     return parser

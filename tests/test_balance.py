@@ -3,6 +3,7 @@ from __future__ import annotations
 from collections import Counter
 from decimal import Decimal, getcontext
 
+import numpy as np
 import pytest
 
 from unitforge.balance import (
@@ -102,7 +103,30 @@ class TestTemperatureDistribution:
                 dist({"a": 1}, t)
 
 
+def oracle_schedule(d: SamplingDistribution, pools, total: int, seed: int) -> list[str]:
+    """The seed implementation: the same draws, indexed one numpy scalar at a time."""
+    active = [(lang, p) for lang, p in d.probs if p > 0.0]
+    langs = [lang for lang, _ in active]
+    probs = np.array([p for _, p in active], dtype=np.float64)
+    probs /= probs.sum()
+    sizes = np.array([len(pools[lang]) for lang in langs], dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    lang_draws = rng.choice(len(langs), size=total, p=probs)
+    item_draws = rng.integers(0, sizes[lang_draws])
+    return [pools[langs[ld]][int(it)] for ld, it in zip(lang_draws, item_draws)]
+
+
 class TestSampleSchedule:
+    def test_matches_seed_oracle(self):
+        d = dist({"en": 900, "hok": 100, "zh": 0, "ja": 7}, 5.0)
+        pools = {"en": [f"en{i}" for i in range(1000)], "hok": ("h0", "h1", "h2"),
+                 "ja": ["ja0"]}
+        for seed in range(5):
+            for total in (1, 17, 5000):
+                got = sample_schedule(d, pools, total, seed)
+                assert got == oracle_schedule(d, pools, total, seed)
+                assert all(type(item) is str for item in got)
+
     def test_total_zero(self):
         d = dist({"a": 1}, 1.0)
         assert sample_schedule(d, {"a": ["x"]}, total=0, seed=0) == []

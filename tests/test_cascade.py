@@ -181,6 +181,29 @@ def adapters_for(spec: PipelineSpec, cache_dir=None):
             for name, endpoint in spec.adapters.items()}
 
 
+class CountingExec:
+    """A child process for ``exec:`` endpoints that upper-cases or
+    reverses each line and logs the lines of every run."""
+
+    def __init__(self, tmp_path):
+        self.log = tmp_path / "runs.jsonl"
+        self.script = tmp_path / "count.py"
+        self.script.write_text(
+            "import json, sys\n"
+            "lines = sys.stdin.read().split('\\n')[:-1]\n"
+            "with open(%r, 'a', encoding='utf-8') as fh: fh.write(json.dumps(lines) + '\\n')\n"
+            "for line in lines: print(line.upper() if sys.argv[1] == 'upper' else line[::-1])\n"
+            % str(self.log))
+
+    def endpoint(self, mode: str = "upper") -> str:
+        return f"exec:{sys.executable} {self.script} {mode}"
+
+    def runs(self) -> list[list[str]]:
+        if not self.log.exists():
+            return []
+        return [json.loads(row) for row in self.log.read_text(encoding="utf-8").splitlines()]
+
+
 class TestAdapters:
     def test_mock_identity(self):
         adapter = make_adapter("mt", "echo", "mock:identity")
@@ -219,50 +242,86 @@ class TestAdapters:
         assert adapter.try_run(["a", "b"]) == [None, None]
 
     def test_cache_round_trip(self, tmp_path):
-        counter = tmp_path / "calls.txt"
-        script = tmp_path / "count.py"
-        script.write_text(
-            "import sys, pathlib\n"
-            "p = pathlib.Path(r'%s')\n"
-            "p.write_text(p.read_text() + 'x' if p.exists() else 'x')\n"
-            "for line in sys.stdin: print(line.strip().upper())\n" % counter)
-        endpoint = f"exec:{sys.executable} {script}"
+        child = CountingExec(tmp_path)
+        endpoint = child.endpoint()
         cache = tmp_path / "cache"
         first = make_adapter("mt", "up", endpoint, cache_dir=cache)
         assert first.run(["a", "b"]) == ["A", "B"]
         # a fresh adapter re-reads from the cache instead of invoking again
         second = make_adapter("mt", "up", endpoint, cache_dir=cache)
         assert second.run(["a", "b"]) == ["A", "B"]
-        assert counter.read_text() == "x"
+        assert len(child.runs()) == 1
 
     def test_cache_keyed_by_adapter_name(self, tmp_path):
+        child = CountingExec(tmp_path)
+        endpoint = child.endpoint()
         cache = tmp_path / "cache"
-        up = make_adapter("mt", "up", "mock:upper", cache_dir=cache)
-        low = make_adapter("mt", "low", "mock:lower", cache_dir=cache)
+        up = make_adapter("mt", "up", endpoint, cache_dir=cache)
+        other = make_adapter("mt", "other", endpoint, cache_dir=cache)
         assert up.run(["MiXeD"]) == ["MIXED"]
-        assert low.run(["MiXeD"]) == ["mixed"]
+        # same endpoint and input under another name: a miss, not up's entry
+        assert other.run(["MiXeD"]) == ["MIXED"]
+        assert len(child.runs()) == 2
+        assert up.run(["MiXeD"]) == other.run(["MiXeD"]) == ["MIXED"]
+        assert len(child.runs()) == 2
 
     def test_cache_keyed_by_endpoint(self, tmp_path):
+        child = CountingExec(tmp_path)
         cache = tmp_path / "cache"
-        first = make_adapter("mt", "mt", "mock:upper", cache_dir=cache)
+        first = make_adapter("mt", "mt", child.endpoint("upper"), cache_dir=cache)
         assert first.run(["hello"]) == ["HELLO"]
-        repointed = make_adapter("mt", "mt", "mock:reverse", cache_dir=cache)
+        repointed = make_adapter("mt", "mt", child.endpoint("reverse"), cache_dir=cache)
         assert repointed.run(["hello"]) == ["olleh"]
         assert first.run(["hello"]) == ["HELLO"]
+        assert len(child.runs()) == 2
 
     def test_cache_layout_is_stable(self, tmp_path):
         # an entry planted at cache/kind/name/<sha256[:2]>/<sha256> of
         # kind NUL name NUL endpoint NUL input is served as is
-        key = "mt\x00up\x00mock:upper\x00hello".encode("utf-8")
+        child = CountingExec(tmp_path)
+        endpoint = child.endpoint()
+        key = f"mt\x00up\x00{endpoint}\x00hello".encode("utf-8")
         digest = hashlib.sha256(key).hexdigest()
         entry = tmp_path / "cache" / "mt" / "up" / digest[:2] / digest
         entry.parent.mkdir(parents=True)
         entry.write_text("planted", encoding="utf-8")
-        adapter = make_adapter("mt", "up", "mock:upper", cache_dir=tmp_path / "cache")
+        adapter = make_adapter("mt", "up", endpoint, cache_dir=tmp_path / "cache")
         assert adapter.run(["hello", "world"]) == ["planted", "WORLD"]
-        digest = hashlib.sha256("mt\x00up\x00mock:upper\x00world".encode("utf-8")).hexdigest()
+        assert child.runs() == [["world"]]
+        digest = hashlib.sha256(f"mt\x00up\x00{endpoint}\x00world".encode("utf-8")).hexdigest()
         written = tmp_path / "cache" / "mt" / "up" / digest[:2] / digest
         assert written.read_text(encoding="utf-8") == "WORLD"
+
+    def test_mock_ignores_cache_dir(self, tmp_path):
+        table = tmp_path / "table.tsv"
+        table.write_text("hello\tHELLO\n")
+        cache = tmp_path / "cache"
+        for endpoint, expected in (("mock:upper", "HELLO"), (f"mock:{table}", "HELLO"),
+                                   ("mock:fail:x", "hello")):
+            key = f"mt\x00mt\x00{endpoint}\x00hello".encode("utf-8")
+            digest = hashlib.sha256(key).hexdigest()
+            entry = cache / "mt" / "mt" / digest[:2] / digest
+            entry.parent.mkdir(parents=True, exist_ok=True)
+            entry.write_text("planted", encoding="utf-8")
+            adapter = make_adapter("mt", "mt", endpoint, cache_dir=cache)
+            # the function runs; an entry at the exec: layout is not served
+            assert adapter.try_run(["hello", "bye"])[0] == expected
+            entry.unlink()
+            assert not [p for p in cache.rglob("*") if p.is_file()]
+
+    def test_line_breaks_fail_on_both_schemes(self, tmp_path):
+        inputs = ["a\nb", "ok", "c\rd", "x\r\n"]
+        mock = make_adapter("mt", "mock", "mock:upper", cache_dir=tmp_path / "cache")
+        assert mock.try_run(inputs) == [None, "OK", None, None]
+        child = CountingExec(tmp_path)
+        for cache_dir in (None, tmp_path / "cache"):
+            adapter = make_adapter("mt", "exec", child.endpoint(), cache_dir=cache_dir)
+            assert adapter.try_run(inputs) == [None, "OK", None, None]
+        assert child.runs() == [["ok"], ["ok"]]
+        assert len([p for p in (tmp_path / "cache").rglob("*") if p.is_file()]) == 1
+        # the child is not started when no input can be sent
+        assert adapter.try_run(["only\nbreaks"]) == [None]
+        assert len(child.runs()) == 2
 
 
 class TestRunCascade:

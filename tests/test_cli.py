@@ -100,6 +100,26 @@ class TestExitCodes:
         assert got["duplicate_id_drops"] == 1
         assert got["output_count"] + got["duplicate_id_drops"] == got["input_count"] == 2
 
+    def test_cascade_ignores_cache_env_var(self, tmp_path, monkeypatch):
+        # only --cache-dir enables the cache; UNITFORGE_CACHE_DIR is not read
+        ambient = tmp_path / "ambient"
+        monkeypatch.setenv("UNITFORGE_CACHE_DIR", str(ambient))
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(
+            "id\tlang\taudio\tduration_s\tspeaker\ttext\tunits\n"
+            "u0\ten\t\t\t\thello\t\n", encoding="utf-8")
+        upper = f"{sys.executable} -c \"import sys; [print(l.strip().upper()) for l in sys.stdin]\""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "adapters": {"up": f"exec:{upper}"},
+            "stages": [{"adapter": "up", "in": "text", "out": "shout"}]}))
+        out = tmp_path / "out.tsv"
+        code = dispatch(["cascade", "run", "--spec", str(spec), "--in", str(manifest),
+                         "--out", str(out)])
+        assert code == 0
+        assert out.read_text(encoding="utf-8").splitlines()[1].endswith("\tHELLO")
+        assert not ambient.exists()
+
     def test_happy_path_balance(self, workspace, tmp_path):
         out = tmp_path / "dist.json"
         code = dispatch(["balance", "--counts", str(workspace["counts.tsv"]),
