@@ -347,7 +347,8 @@ def filter_min_length(text: str, min_chars: int) -> bool:
     """Keep iff the text has at least ``min_chars`` non-whitespace characters."""
     if min_chars < 0:
         raise CascadeError(f"min_chars must be >= 0, got {min_chars}")
-    return sum(1 for ch in text if not ch.isspace()) >= min_chars
+    # str.split() splits on exactly the characters str.isspace() accepts
+    return sum(map(len, text.split())) >= min_chars
 
 
 def _apply_filter(spec: FilterSpec, rec: Utterance) -> bool:

@@ -27,6 +27,7 @@ import math
 import re
 import unicodedata
 from dataclasses import dataclass
+from itertools import chain, count
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -231,11 +232,10 @@ def _block_stats(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]],
     hyp_lens = np.fromiter(map(len, hyps), np.int64, n_seg)
     ref_lens = np.fromiter(map(len, refs), np.int64, n_seg)
     lens = np.concatenate([hyp_lens, ref_lens])
-    vocab: dict[str, int] = {}
-    tokens = np.fromiter(
-        (vocab.setdefault(tok, len(vocab))
-         for segs in (hyps, refs) for seg in segs for tok in seg),
-        np.int64, int(lens.sum()))
+    # ids in order of first occurrence, interned by C-level calls
+    vocab = dict(zip(dict.fromkeys(chain.from_iterable(chain(hyps, refs))), count()))
+    tokens = np.fromiter(map(vocab.__getitem__, chain.from_iterable(chain(hyps, refs))),
+                         np.int64, int(lens.sum()))
     n_tok = len(tokens)
     n_hyp_tok = int(hyp_lens.sum())
     seg = np.repeat(np.arange(2 * n_seg) % n_seg, lens)

@@ -10,6 +10,12 @@ bound cannot rule out, and picks among those by the direct float64 sum of
 argmin exactly, and the returned distances (hence the inertia) come from the
 direct formula, so a fit is byte-identical for any thread count or BLAS
 blocking given the same inputs.
+
+k-means++ seeding is screened by the same certificate: one GEMV per new seed
+gives a lower bound on each row's direct distance to it, and only rows whose
+bound does not rule out an improvement get the direct sum. Every kept
+distance is therefore the direct one, and the chosen seeds equal those of
+the unscreened computation.
 """
 
 from __future__ import annotations
@@ -81,6 +87,32 @@ class Codebook:
         return self.inertia_history[-1] if self.inertia_history else None
 
 
+def _certificate(dim: int, cc_max: float) -> tuple[float, float, float]:
+    """Rounding certificate of the expansion ||x||^2 - 2 x.c + ||c||^2.
+
+    Returns ``(coef, floor, xx_limit)``. For a row with computed ``X =
+    ||x||^2 <= xx_limit`` and a centroid with computed ``C = ||c||^2 <=
+    cc_max``, the expansion computed in float64 by any summation order
+    differs from the direct float64 sum of (x - c)^2 by at most
+    ``coef * (X + C) + floor``, with room left for a few roundings of the
+    comparison that uses it.
+    """
+    # With u = eps/2 and gamma_n = n*u/(1 - n*u) (Higham), for X = ||x||^2,
+    # C = ||c||^2 and any summation order of the GEMM or GEMV:
+    #   |fl(x.c) - x.c| <= gamma_d * (X + C) / 2,   |fl(C) - C| <= gamma_d * C,
+    # and the two additions forming fl(C) - 2 fl(x.c) add u * (X + 2C) each,
+    # so the expansion errs by at most (d + 1) u X + (2d + 3) u C. The direct
+    # oracle fl(sum (x - c)^2) errs by at most gamma_(d+2) * ||x - c||^2
+    # <= (2d + 4) u (X + C). Together |expansion - oracle| <= (3d+5) u X +
+    # (4d+7) u C <= (2d+4) eps (X + C). coef doubles that to cover the
+    # comparisons' own rounding and the use of computed X, C; dim * tiny
+    # covers gradual underflow. Below xx_limit, X + C <= max / 8, so neither
+    # the expansion nor the slack can overflow; rows above it (or with a
+    # NaN bound) must take the direct sum.
+    f64 = np.finfo(np.float64)
+    return 4.0 * (dim + 2) * f64.eps, dim * f64.tiny, f64.max / 8 - cc_max
+
+
 def _direct_argmin(x: np.ndarray, cents: np.ndarray,
                    cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of the (rows, k) mask ``cand``, the candidate with the least
@@ -112,25 +144,11 @@ def _nearest(features: np.ndarray, centroids: np.ndarray,
     feats = features.astype(np.float64, copy=False)
     cents = np.ascontiguousarray(centroids, dtype=np.float64)
     dim = cents.shape[1]
-    f64 = np.finfo(np.float64)
-
-    # Certificate. With u = eps/2 and gamma_n = n*u/(1 - n*u) (Higham), for
-    # X = ||x||^2, C = ||c||^2 and any summation order of the GEMM:
-    #   |fl(x.c) - x.c| <= gamma_d * (X + C) / 2,   |fl(C) - C| <= gamma_d * C,
-    # and the two additions forming fl(C) - 2 fl(x.c) add u * (X + 2C) each,
-    # so the expansion errs by at most (d + 1) u X + (2d + 3) u C. The direct
-    # oracle fl(sum (x - c)^2) errs by at most gamma_(d+2) * ||x - c||^2
-    # <= (2d + 4) u (X + C). Together |expansion - oracle| <= (3d+5) u X +
-    # (4d+7) u C <= (2d+4) eps (X + C). The slack below doubles that to cover
-    # the comparisons' own rounding and the use of computed X, C; dim * tiny
-    # covers gradual underflow. Rows whose X could overflow the expansion
-    # take every centroid as a candidate.
-    coef = 4.0 * (dim + 2) * f64.eps
     cc = np.einsum("ij,ij->i", cents, cents)
+    coef, floor, xx_limit = _certificate(dim, cc.max())
     col_slack = coef * cc
     upper_shift = cc + col_slack
     col_gap = 2.0 * col_slack
-    xx_limit = f64.max / 8 - cc.max()
 
     def one_chunk(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = bounds
@@ -141,7 +159,7 @@ def _nearest(features: np.ndarray, centroids: np.ndarray,
             upper = x @ cents.T
             upper *= -2.0
             upper += upper_shift
-            thresh = upper.min(axis=1) + (2.0 * coef * xx + dim * f64.tiny)
+            thresh = upper.min(axis=1) + (2.0 * coef * xx + floor)
             # keep j unless expansion_j - slack_ij > min_l(expansion_l + slack_il)
             cand = upper - col_gap <= thresh[:, None]
         cand[~(xx <= xx_limit)] = True
@@ -155,11 +173,60 @@ def _nearest(features: np.ndarray, centroids: np.ndarray,
     return labels, dists
 
 
+_DIRECT_BLOCK = 2048  # rows per direct-distance block in k-means++ seeding
+
+
+def _direct_d2(features: np.ndarray, c: np.ndarray,
+               rows: np.ndarray | None = None) -> np.ndarray:
+    """Direct float64 sum of (x - c)^2 for every row, or for ``features[rows]``.
+
+    Rows go through in fixed blocks, so the difference held at once stays
+    small; each row is summed exactly as over the whole matrix.
+    """
+    n = features.shape[0] if rows is None else rows.shape[0]
+    out = np.empty(n)
+    for lo in range(0, n, _DIRECT_BLOCK):
+        block = slice(lo, lo + _DIRECT_BLOCK)
+        diff = features[block if rows is None else rows[block]] - c
+        out[block] = np.square(diff, out=diff).sum(axis=1)
+    return out
+
+
+def _lower_to_seed(features: np.ndarray, xx: np.ndarray, d2: np.ndarray,
+                   c: np.ndarray) -> None:
+    """``d2 = np.minimum(d2, direct distances to c)`` in place, bit for bit.
+
+    ``xx`` holds the computed ||x||^2 of every row. One GEMV gives each row
+    a certified lower bound on its direct distance to ``c``; a row whose
+    bound is at least its ``d2`` keeps it, as ``np.minimum`` would, and only
+    the other rows get the direct sum.
+    """
+    with np.errstate(all="ignore"):
+        cc = float(c @ c)
+        coef, floor, xx_limit = _certificate(features.shape[1], cc)
+        lower = features @ c
+        lower *= -2.0
+        lower += xx
+        lower += cc - floor
+        lower -= coef * (xx + cc)
+    # NaN bounds and rows that could overflow fail this test
+    keep = (lower >= d2) & (xx <= xx_limit)
+    rows = np.flatnonzero(~keep)
+    d2[rows] = np.minimum(d2[rows], _direct_d2(features, c, rows))
+
+
 def _kmeanspp_init(features: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeds, each drawn with probability proportional to the
+    direct float64 squared distance to the nearest earlier seed.
+
+    The distances after each draw are screened (``_lower_to_seed``) but
+    equal the direct ones, so the draws equal the unscreened ones.
+    """
     n = features.shape[0]
+    xx = np.einsum("ij,ij->i", features, features)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(0, n)
-    d2 = ((features - features[chosen[0]]) ** 2).sum(axis=1)
+    d2 = _direct_d2(features, features[chosen[0]])
     for i in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -167,7 +234,7 @@ def _kmeanspp_init(features: np.ndarray, k: int, rng: np.random.Generator) -> np
         else:
             # all remaining mass at distance zero (duplicate points): uniform
             chosen[i] = rng.integers(0, n)
-        d2 = np.minimum(d2, ((features - features[chosen[i]]) ** 2).sum(axis=1))
+        _lower_to_seed(features, xx, d2, features[chosen[i]])
     return features[chosen].copy()
 
 

@@ -167,6 +167,15 @@ class TestFilters:
         assert not filter_min_length("a  b", min_chars=3)
         assert filter_min_length("a b c", min_chars=3)
 
+    def test_min_length_counts_as_isspace(self):
+        # every whitespace code point, alone and between other characters
+        spaces = [chr(cp) for cp in range(sys.maxunicode + 1) if chr(cp).isspace()]
+        mixed = "a" + "x\u200b".join(spaces) + "字 \u00a0b\u3000c\x1c"
+        for text in spaces + ["".join(spaces), mixed]:
+            want = sum(1 for ch in text if not ch.isspace())
+            assert filter_min_length(text, min_chars=want)
+            assert not filter_min_length(text, min_chars=want + 1)
+
 
 def man(*texts, **extra_fields):
     records = []

@@ -243,6 +243,122 @@ class TestExactKernel:
         assert a.iters_run == b.iters_run
 
 
+def oracle_kmeanspp(features: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding with a full direct distance pass per seed."""
+    n = features.shape[0]
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = rng.integers(0, n)
+    d2 = ((features - features[chosen[0]]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            chosen[i] = rng.choice(n, p=d2 / total)
+        else:
+            chosen[i] = rng.integers(0, n)
+        d2 = np.minimum(d2, ((features - features[chosen[i]]) ** 2).sum(axis=1))
+    return features[chosen].copy()
+
+
+class TestKMeansPlusPlusSeeding:
+    """The screened seeding must draw exactly the seeds of the direct oracle."""
+
+    def assert_seeds_match(self, feats: np.ndarray, k: int, seeds=(0, 1, 2)):
+        for seed in seeds:
+            want = oracle_kmeanspp(feats, k, np.random.default_rng(seed))
+            got = quantize._kmeanspp_init(feats, k, np.random.default_rng(seed))
+            assert np.array_equal(got, want), f"seed {seed}"
+
+    def assert_fit_matches(self, monkeypatch, feats: np.ndarray, k: int,
+                           threads=(1,), max_iters: int = 3):
+        with monkeypatch.context() as m:
+            m.setattr(quantize, "_kmeanspp_init", oracle_kmeanspp)
+            want = kmeans_fit(feats, k=k, seed=5, max_iters=max_iters, tol=0)
+        for t in threads:
+            got = kmeans_fit(feats, k=k, seed=5, max_iters=max_iters, tol=0, threads=t)
+            assert np.array_equal(got.centroids, want.centroids)
+            assert got.inertia_history == want.inertia_history
+
+    @pytest.mark.parametrize("scale, offset, dim", [
+        (1e-2, 1e4, 64),        # the expansion cancels badly
+        (1.0, 0.0, 768),
+        (1e-160, 0.0, 8),       # squares underflow
+        (1e-160, 0.0, 768),
+        (1e148, 2e152, 768),    # past the overflow limit
+    ])
+    def test_screened_update_equals_direct_minimum(self, rng, scale, offset, dim):
+        feats = rng.normal(size=(300, dim)) * scale + offset
+        xx = np.einsum("ij,ij->i", feats, feats)
+        for c in (feats[7], feats[7] + rng.normal(size=dim) * scale * 1e-3, feats.mean(axis=0)):
+            with np.errstate(all="ignore"):
+                direct = ((feats - c) ** 2).sum(axis=1)
+            # current distances on, and one ulp either side of, the new ones
+            for d2 in (direct, np.nextafter(direct, np.inf), np.nextafter(direct, 0),
+                       direct * (1 + 1e-9), np.zeros_like(direct), np.full_like(direct, np.inf)):
+                want = np.minimum(d2, direct)
+                got = d2.copy()
+                quantize._lower_to_seed(feats, xx, got, c)
+                assert np.array_equal(got, want)
+
+    def test_clustered_d768_with_near_ties(self, rng, monkeypatch):
+        # speech clusters plus silence points and the midpoints of their pairs
+        dim = 768
+        speech = rng.standard_normal((30, dim))
+        points = 3.0 * rng.standard_normal((6, dim))
+        mids = (points[0::2] + points[1::2]) / 2.0
+        feats = np.vstack([
+            speech[rng.integers(0, 30, 300)] + rng.standard_normal((300, dim)),
+            points[rng.integers(0, 6, 30)] + 1e-5 * rng.standard_normal((30, dim)),
+            mids[rng.integers(0, 3, 20)] + 1e-6 * rng.standard_normal((20, dim)),
+        ]).astype(np.float32).astype(np.float64)
+        feats = feats[rng.permutation(len(feats))]
+        self.assert_seeds_match(feats, 40)
+        # the screen leaves most rows' distances to the bound alone
+        direct_rows = []
+        direct = quantize._direct_d2
+
+        def spy(features, c, rows=None):
+            direct_rows.append(len(features) if rows is None else len(rows))
+            return direct(features, c, rows)
+
+        with monkeypatch.context() as m:
+            m.setattr(quantize, "_direct_d2", spy)
+            quantize._kmeanspp_init(feats, 40, np.random.default_rng(0))
+        assert sum(direct_rows[1:]) < 0.25 * 39 * len(feats)
+        self.assert_fit_matches(monkeypatch, feats, 40, threads=(1, 8))
+
+    def test_duplicate_rows_reach_uniform_draws(self, rng, monkeypatch):
+        feats = np.tile(rng.normal(size=(5, 16)), (20, 1))
+        # after the 5 distinct rows are drawn, all mass is zero
+        self.assert_seeds_match(feats, 9)
+        self.assert_fit_matches(monkeypatch, feats, 9)
+
+    def test_rows_span_several_blocks(self, rng, monkeypatch):
+        n = 2 * quantize._DIRECT_BLOCK + 517
+        cents = rng.normal(size=(25, 16)) * 4
+        feats = cents[rng.integers(0, 25, n)] + rng.normal(size=(n, 16))
+        self.assert_seeds_match(feats, 30)
+        self.assert_fit_matches(monkeypatch, feats, 30, threads=(1, 8))
+
+    def test_rows_past_the_overflow_limit(self, rng):
+        # ||x||^2 near 1e307 (coordinates near 1e152): rows whose norm
+        # exceeds the limit take the direct sum; float32 centroids cannot
+        # hold this scale, so only the seeds are compared
+        dim = 768
+        axis = rng.normal(size=dim)
+        axis *= np.sqrt(1e307) / np.linalg.norm(axis)
+        feats = np.vstack([axis + rng.normal(size=(150, dim)) * 1e148,
+                           1.2 * axis + rng.normal(size=(50, dim)) * 1e148])
+        xx = np.einsum("ij,ij->i", feats, feats)
+        assert xx.max() > quantize._certificate(dim, xx.min())[2]
+        self.assert_seeds_match(feats, 12)
+
+    def test_rows_near_underflow(self, rng, monkeypatch):
+        cents = rng.normal(size=(10, 8))
+        feats = (cents[rng.integers(0, 10, 300)] + rng.normal(size=(300, 8)) * 0.1) * 1e-160
+        self.assert_seeds_match(feats, 15)
+        self.assert_fit_matches(monkeypatch, feats, 15)
+
+
 class TestUnitOps:
     def test_dedup_example(self):
         seq = UnitSequence(vocab_size=10, units=(5, 5, 2, 2, 2, 9))
