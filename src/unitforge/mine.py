@@ -14,6 +14,8 @@ with distance and absolute variants available behind ``Margin``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -236,6 +238,42 @@ def _overlap_ratio(a: Segment, b: Segment) -> float:
     return inter / min(a.duration_s, b.duration_s)
 
 
+class _KeptIndex:
+    """Kept segments of one audio_id, sorted by start time.
+
+    ``near(seg)`` returns every kept segment whose overlap with ``seg`` can
+    be positive, and possibly a few more. A segment outside it overlaps
+    ``seg`` by 0.0, so its ratio 0.0 passes every ``max_overlap >= 0``.
+
+    Why the window [lo, seg.end_s) is a superset: ``overlap_s`` is positive
+    only if fl(min(ends) - max(starts)) > 0, and rounding is monotone, so
+    only if p.start_s < seg.end_s and p.end_s > seg.start_s for the kept
+    segment p. The exact p.end_s - p.start_s is at most its rounded value
+    ``p.duration_s`` times 1 + 2**-52, so below 2 * longest, and thus
+    p.start_s > seg.start_s - 2 * longest. Doubling is exact (or +inf), and
+    the rounded subtraction is one of the two floats around the exact one,
+    so the float below it, ``lo``, is at most seg.start_s - 2 * longest.
+    """
+
+    __slots__ = ("starts", "segments", "longest")
+
+    def __init__(self):
+        self.starts: list[float] = []
+        self.segments: list[Segment] = []
+        self.longest = 0.0
+
+    def near(self, seg: Segment) -> list[Segment]:
+        lo = math.nextafter(seg.start_s - 2.0 * self.longest, -math.inf)
+        return self.segments[bisect_left(self.starts, lo):
+                             bisect_left(self.starts, seg.end_s)]
+
+    def add(self, seg: Segment) -> None:
+        at = bisect_right(self.starts, seg.start_s)
+        self.starts.insert(at, seg.start_s)
+        self.segments.insert(at, seg)
+        self.longest = max(self.longest, seg.duration_s)
+
+
 def filter_overlap(pairs: Sequence[MinedPair], max_overlap: float,
                    side: str = "src") -> list[MinedPair]:
     """Greedy selection in descending score order under an overlap constraint.
@@ -243,6 +281,15 @@ def filter_overlap(pairs: Sequence[MinedPair], max_overlap: float,
     A pair is kept iff each of its segments on the constrained side(s)
     overlaps every already-kept segment of the same audio_id by at most
     ``max_overlap``, measured as intersection / min(segment durations).
+    Pairs are visited by (-score, src_id, tgt_id); a pair's own segments
+    are not checked against each other. With ``side="both"``, src and tgt
+    segments share one index per audio_id.
+
+    The kept segments of each audio_id are indexed by start time, so a
+    segment is compared only with the kept ones that start between twice
+    the longest kept duration before it and its end. Each segment costs two
+    bisections, one list insert if kept, and one ratio per kept segment in
+    that window, instead of one ratio per kept segment of its audio_id.
     """
     if not 0.0 <= max_overlap <= 1.0:
         raise MiningError(f"max_overlap must be in [0, 1], got {max_overlap}")
@@ -263,14 +310,14 @@ def filter_overlap(pairs: Sequence[MinedPair], max_overlap: float,
 
     ordered = sorted(pairs, key=lambda p: (-p.score, p.src_id, p.tgt_id))
     kept: list[MinedPair] = []
-    by_audio: dict[str, list[Segment]] = {}
+    by_audio: defaultdict[str, _KeptIndex] = defaultdict(_KeptIndex)
     for pair in ordered:
         segs = segments_of(pair)
         if all(_overlap_ratio(seg, prev) <= max_overlap
-               for seg in segs for prev in by_audio.get(seg.audio_id, ())):
+               for seg in segs for prev in by_audio[seg.audio_id].near(seg)):
             kept.append(pair)
             for seg in segs:
-                by_audio.setdefault(seg.audio_id, []).append(seg)
+                by_audio[seg.audio_id].add(seg)
     return kept
 
 

@@ -21,6 +21,7 @@ the unscreened computation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -204,6 +205,12 @@ def _lower_to_seed(features: np.ndarray, xx: np.ndarray, d2: np.ndarray,
     with np.errstate(all="ignore"):
         cc = float(c @ c)
         coef, floor, xx_limit = _certificate(features.shape[1], cc)
+        reach = math.sqrt(xx.max()) + math.sqrt(cc)
+        if floor > reach * reach:
+            # floor exceeds every expansion (subnormal-scale rows), so no bound
+            # reaches d2 >= 0: skip the GEMV, every row takes the direct sum
+            np.minimum(d2, _direct_d2(features, c), out=d2)
+            return
         lower = features @ c
         lower *= -2.0
         lower += xx
@@ -245,13 +252,20 @@ def kmeans_fit(features: np.ndarray, k: int, seed: int,
 
     Stops when the max centroid L2 displacement falls below ``tol`` or
     after ``max_iters`` iterations. The recorded inertia sequence (one
-    entry per assignment step) is non-increasing.
+    entry per assignment step) is non-increasing. Features must be finite
+    and within the float32 range, as centroids are means of rows and are
+    stored as float32.
     """
     feats = np.ascontiguousarray(features, dtype=np.float64)
     if feats.ndim != 2:
         raise QuantizeError(f"features must be 2-D, got shape {feats.shape}")
     if not np.isfinite(feats).all():
         raise QuantizeError("features contain non-finite values")
+    f32_max = float(np.finfo(np.float32).max)
+    if feats.max(initial=0.0) > f32_max or feats.min(initial=0.0) < -f32_max:
+        raise QuantizeError(
+            f"features exceed the float32 range [-{f32_max:.6g}, {f32_max:.6g}] "
+            "of the codebook")
     n, dim = feats.shape
     if k < 1:
         raise QuantizeError(f"k must be >= 1, got {k}")

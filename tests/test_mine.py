@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_matrix, random_matrix
+from unitforge import mine
 from unitforge.corpus import Segment
 from unitforge.mine import (
     Direction, Margin, MinedPair, MiningError, NeighborList,
@@ -364,6 +365,116 @@ class TestFilterOverlap:
                     ratio = a.src_segment.overlap_s(b.src_segment) / min(
                         a.src_segment.duration_s, b.src_segment.duration_s)
                     assert ratio <= 0.2 + 1e-12
+
+
+def oracle_filter_overlap(pairs, max_overlap, side="src"):
+    """The greedy filter as a plain scan: each candidate segment against
+    every kept segment of its audio_id."""
+    sides = ("src", "tgt") if side == "both" else (side,)
+    kept, by_audio = [], {}
+    for p in sorted(pairs, key=lambda p: (-p.score, p.src_id, p.tgt_id)):
+        segs = [p.src_segment if s == "src" else p.tgt_segment for s in sides]
+        if all(a.overlap_s(b) / min(a.duration_s, b.duration_s) <= max_overlap
+               for a in segs for b in by_audio.get(a.audio_id, ())):
+            kept.append(p)
+            for a in segs:
+                by_audio.setdefault(a.audio_id, []).append(a)
+    return kept
+
+
+def overlap_layout(gen: np.random.Generator, kind: str, n: int = 60) -> list[MinedPair]:
+    """Seeded pairs whose src and tgt segments draw from the same audio ids."""
+    def nudge(x: float) -> float:
+        return math.nextafter(x, [-math.inf, x, math.inf][int(gen.integers(0, 3))])
+
+    def one_segment(i: int) -> Segment:
+        audio = f"A{int(gen.integers(0, 3))}"
+        if kind == "grid":  # touching ends, and starts like 0.1 + 0.2
+            start = sum([0.1] * int(gen.integers(0, 40)))
+            return Segment(audio, start, start + 0.1 * int(gen.integers(1, 6)))
+        if kind == "long":  # one long segment among short ones
+            if i == n // 3:
+                return Segment(audio, 5.0, 205.0)
+            start = float(gen.uniform(0, 220))
+            return Segment(audio, start, start + float(gen.uniform(0.2, 3)))
+        if kind == "offset":  # end - start rounds at this magnitude
+            start = 1e5 + float(gen.uniform(0, 30))
+            return Segment(audio, start, start + float(gen.uniform(0.1, 4)))
+        if kind == "ulp":  # bounds on a grid, or one ulp either side of it
+            a, b = sorted(gen.choice(np.arange(1.0, 12.0, 0.75), 2, replace=False))
+            return Segment(audio, nudge(float(a)), nudge(float(b)))
+        raise AssertionError(kind)
+
+    # scores on a coarse grid, so ties fall back to (src_id, tgt_id)
+    return [MinedPair(src_id=f"s{int(gen.integers(0, n))}-{i}", tgt_id=f"t{i}",
+                      score=round(float(gen.random()), 1),
+                      src_segment=one_segment(i), tgt_segment=one_segment(i))
+            for i in range(n)]
+
+
+class TestIndexedOverlapFilter:
+    """The indexed filter keeps exactly what the plain greedy scan keeps."""
+
+    @pytest.mark.parametrize("kind", ["grid", "long", "offset", "ulp"])
+    @pytest.mark.parametrize("side", ["src", "tgt", "both"])
+    @pytest.mark.parametrize("max_overlap", [0.0, 0.2, 1.0])
+    def test_equals_greedy_scan(self, kind, side, max_overlap):
+        gen = np.random.default_rng(7)
+        for _ in range(15):
+            pairs = overlap_layout(gen, kind)
+            assert filter_overlap(pairs, max_overlap, side) == \
+                oracle_filter_overlap(pairs, max_overlap, side)
+
+    def test_one_ulp_overlap_and_touching(self):
+        pairs = [pair("k", 0.9, seg("A", 1, 2)), pair("t", 0.5, seg("A", 2, 3)),
+                 pair("k2", 0.9, seg("B", 1, 2)),
+                 pair("u", 0.5, Segment("B", math.nextafter(2.0, 0.0), 3.0))]
+        assert [p.src_id for p in filter_overlap(pairs, 0.0)] == ["k", "k2", "t"]
+        assert [p.src_id for p in filter_overlap(pairs, 1e-12)] == ["k", "k2", "t", "u"]
+
+    def test_long_kept_segment_reaches_late_candidates(self):
+        long = pair("long", 0.9, seg("A", 0, 100))
+        late = [pair(f"c{i}", 0.5, seg("A", start, start + 1))
+                for i, start in enumerate([97, 99.5, 99.9, 101])]
+        # overlaps 1, 0.5, 0.1 and 0 of the shorter duration
+        assert [p.src_id for p in filter_overlap([long] + late, 0.2)] == \
+            ["long", "c2", "c3"]
+
+    def test_kept_tgt_rejects_later_src_on_same_audio(self):
+        first = MinedPair("a", "x", 0.9, src_segment=seg("A", 0, 10),
+                          tgt_segment=seg("B", 0, 10))
+        second = MinedPair("b", "y", 0.8, src_segment=seg("B", 5, 15),
+                           tgt_segment=seg("C", 0, 10))
+        assert filter_overlap([first, second], 0.2, side="both") == [first]
+        assert filter_overlap([first, second], 0.2, side="src") == [first, second]
+        # a pair's own src and tgt segments are not checked against each other
+        own = MinedPair("c", "z", 0.7, src_segment=seg("D", 0, 10),
+                        tgt_segment=seg("D", 0, 10))
+        assert filter_overlap([own], 0.0, side="both") == [own]
+
+    def test_ratio_evaluations_linear_in_pairs(self, monkeypatch):
+        # 5k fixed 1-s windows on one audio: the plain scan evaluates about
+        # n * kept / 2 ratios; the index a few per candidate
+        n = 5000
+        gen = np.random.default_rng(11)
+        pairs = [pair(f"p{i}", float(gen.random()), Segment("A", start, start + 1.0))
+                 for i, start in enumerate(gen.uniform(0, n / 2, n).tolist())]
+        head = pairs[:800]
+        assert filter_overlap(head, 0.2) == oracle_filter_overlap(head, 0.2)
+        budget = 5 * n
+        calls = 0
+        ratio = mine._overlap_ratio
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            assert calls <= budget, "ratio evaluations exceed 5 per pair"
+            return ratio(a, b)
+
+        monkeypatch.setattr(mine, "_overlap_ratio", counted)
+        kept = filter_overlap(pairs, 0.2)
+        assert 0 < calls <= budget
+        assert 1500 < len(kept) < n
 
 
 def margin_choice_fixture():

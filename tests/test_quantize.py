@@ -86,6 +86,17 @@ class TestKMeansFit:
         with pytest.raises(QuantizeError):
             kmeans_fit(feats, k=2, seed=0)
 
+    def test_beyond_float32_range_rejected(self, rng):
+        # rejected up front, not after a fit whose float32 codebook overflows
+        with pytest.raises(QuantizeError, match="float32 range"):
+            kmeans_fit(rng.normal(size=(50, 4)) * 1e40, k=3, seed=0)
+
+    def test_float32_extremes_accepted(self):
+        feats = np.full((6, 2), float(np.finfo(np.float32).max))
+        feats[::2] *= -1
+        book = kmeans_fit(feats, k=2, seed=0)
+        assert np.isfinite(book.centroids).all()
+
 
 class TestAssignUnits:
     def test_exact_centroid_hit(self, rng):
@@ -357,6 +368,19 @@ class TestKMeansPlusPlusSeeding:
         feats = (cents[rng.integers(0, 10, 300)] + rng.normal(size=(300, 8)) * 0.1) * 1e-160
         self.assert_seeds_match(feats, 15)
         self.assert_fit_matches(monkeypatch, feats, 15)
+        # the d * tiny floor rules out every keep, so each update skips the
+        # GEMV and sends the whole matrix to the direct sum
+        calls = []
+        direct = quantize._direct_d2
+
+        def spy(features, c, rows=None):
+            calls.append(rows)
+            return direct(features, c, rows)
+
+        with monkeypatch.context() as m:
+            m.setattr(quantize, "_direct_d2", spy)
+            quantize._kmeanspp_init(feats, 15, np.random.default_rng(0))
+        assert len(calls) == 15 and all(rows is None for rows in calls)
 
 
 class TestUnitOps:
