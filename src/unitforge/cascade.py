@@ -29,11 +29,13 @@ import shlex
 import subprocess
 import tempfile
 from dataclasses import dataclass, field, replace
+from itertools import compress, count
+from operator import ne
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .corpus import TSV_COLUMNS, Manifest, Utterance, with_records
-from .evalbleu import tokenize
+from .corpus import TSV_COLUMNS, Manifest, Utterance
+from .evalbleu import TOKENIZER_TAGS, tokenize
 
 FILTER_KINDS = ("min_length", "code_switch")
 
@@ -223,7 +225,7 @@ def get_field(rec: Utterance, name: str) -> str:
     if name == "text":
         return rec.text or ""
     if name == "units":
-        return " ".join(str(u) for u in rec.units) if rec.units else ""
+        return " ".join(map(str, rec.units)) if rec.units else ""
     return rec.extra.get(name, "")
 
 
@@ -296,12 +298,23 @@ class PipelineSpec:
 def levenshtein(a: Sequence, b: Sequence) -> int:
     """Minimal number of insertions, deletions and substitutions.
 
-    Elements must be hashable. Uses the bit-parallel algorithm of Myers
+    Elements must be hashable. The common prefix and suffix are stripped
+    first, which leaves the distance unchanged (Ukkonen 1985); the scans
+    for them run in C. The rest uses the bit-parallel algorithm of Myers
     (1999) in Hyyrö's global-distance form, with Python ints as bit
     vectors over the shorter sequence: bit j of ``pv``/``mv`` is a +1/-1
     vertical delta in row j of the DP column, and each element of the
     longer sequence costs a constant number of big-int operations.
     """
+    shorter = min(len(a), len(b))
+    # index of the first unequal pair, else the shorter length
+    prefix = next(compress(count(), map(ne, a, b)), shorter)
+    if prefix == shorter:
+        return len(a) + len(b) - 2 * shorter
+    suffix = min(next(compress(count(), map(ne, reversed(a), reversed(b))), shorter),
+                 shorter - prefix)
+    a = a[prefix:len(a) - suffix]
+    b = b[prefix:len(b) - suffix]
     if len(a) < len(b):
         a, b = b, a
     m = len(b)
@@ -337,6 +350,8 @@ def filter_code_switch(asr_text: str, subtitle: str, tokenizer: str = "char",
     subtitle stays within ``max_norm_dist`` (distance over subtitle length)."""
     if not 0.0 <= max_norm_dist <= 1.0:
         raise CascadeError(f"max_norm_dist must be in [0, 1], got {max_norm_dist}")
+    if asr_text == subtitle and tokenizer in TOKENIZER_TAGS:
+        return True  # distance 0
     asr_tokens = tokenize(asr_text, tokenizer)
     sub_tokens = tokenize(subtitle, tokenizer)
     dist = levenshtein(asr_tokens, sub_tokens)
@@ -467,4 +482,4 @@ def run_cascade(src: Manifest, spec: PipelineSpec,
         field_parse_drops=field_parse_drops,
         duplicate_id_drops=duplicate_id_drops,
     )
-    return with_records(src, kept), report
+    return Manifest(records=kept), report

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 
 TSV_COLUMNS = ("id", "lang", "audio", "duration_s", "speaker", "text", "units")
@@ -60,7 +60,7 @@ class Utterance:
                 raise ManifestError(f"duration_s must be finite and >= 0, got {self.duration_s!r}")
             object.__setattr__(self, "duration_s", d)
         if self.units is not None:
-            object.__setattr__(self, "units", tuple(int(u) for u in self.units))
+            object.__setattr__(self, "units", tuple(map(int, self.units)))
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,6 @@ class Manifest:
     """Ordered, id-unique collection of utterances."""
 
     records: tuple[Utterance, ...] = ()
-    meta: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
@@ -124,7 +123,7 @@ def _infer_format(path: Path, fmt: str | None) -> str:
 
 def _parse_units(text: str, line: int) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split())
+        return tuple(map(int, text.split()))
     except ValueError:
         raise ManifestError(f"unparsable units field {text!r}", line) from None
 
@@ -275,7 +274,7 @@ def _format_float(value: float) -> str:
 
 
 def _units_str(units: tuple[int, ...] | None) -> str:
-    return " ".join(str(u) for u in units) if units else ""
+    return " ".join(map(str, units)) if units else ""
 
 
 def _write_tsv(manifest: Manifest, path: Path) -> None:
@@ -298,6 +297,10 @@ def _write_tsv(manifest: Manifest, path: Path) -> None:
     path.write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
+# one encoder for every line: the same bytes as json.dumps(obj, ensure_ascii=False)
+_JSON_LINE = json.JSONEncoder(ensure_ascii=False)
+
+
 def _write_jsonl(manifest: Manifest, path: Path) -> None:
     lines = []
     for rec in manifest.records:
@@ -316,7 +319,7 @@ def _write_jsonl(manifest: Manifest, path: Path) -> None:
             obj["units"] = list(rec.units)
         for key in sorted(rec.extra):
             obj[key] = rec.extra[key]
-        lines.append(json.dumps(obj, ensure_ascii=False))
+        lines.append(_JSON_LINE.encode(obj))
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
@@ -342,8 +345,3 @@ def manifest_stats(manifest: Manifest) -> dict[str, dict[str, float | int]]:
     for lang, entry in stats.items():
         entry["speaker_count"] = len(speakers.get(lang, ()))
     return stats
-
-
-def with_records(manifest: Manifest, records: Sequence[Utterance]) -> Manifest:
-    """New manifest with the same meta and the given records."""
-    return replace(manifest, records=tuple(records))

@@ -86,9 +86,7 @@ _TONE_MARKS = {
     "̋": "9",  # double acute
 }
 
-_SYLLABLE_SPLIT = re.compile(r"[\s\-]+")
-
-# Both syllable functions are pure, and Tai-lo has a few thousand distinct
+# The syllable functions are pure, and Tai-lo has a few thousand distinct
 # syllables, so they are memoized; the bound caps memory on arbitrary text.
 _SYLLABLE_CACHE_SIZE = 1 << 16
 
@@ -139,8 +137,19 @@ def tailo_split_syllable(syllable: str) -> tuple[str, str]:
 
 # --- tokenization ------------------------------------------------------------
 
-def _tokenize_tailo_syllables(text: str) -> list[str]:
-    return [tailo_digit_form(tok) for tok in _SYLLABLE_SPLIT.split(text) if tok]
+@functools.lru_cache(maxsize=_SYLLABLE_CACHE_SIZE)
+def _initial_final_tokens(syllable: str) -> tuple[str, ...]:
+    """The ``tailo_initial_final`` tokens of one raw syllable."""
+    initial, final = tailo_split_syllable(tailo_digit_form(syllable))
+    return (initial, final) if initial else (final,)
+
+
+def _raw_syllables(text: str) -> list[str]:
+    r"""Split on hyphens and on every character for which ``str.isspace()``
+    is true, dropping empty tokens: the same tokens as splitting on the
+    regex ``[\s\-]+``, whose ``\s`` matches exactly those characters in
+    a str pattern, but in one C-level pass."""
+    return text.replace("-", " ").split()
 
 
 def tokenize(text: str, scheme: str) -> list[str]:
@@ -148,17 +157,11 @@ def tokenize(text: str, scheme: str) -> list[str]:
     if scheme == "word13a":
         return _tokenize_13a(text)
     if scheme == "char":
-        return [ch for ch in text if not ch.isspace()]
+        return list("".join(text.split()))
     if scheme == "tailo_syllable":
-        return _tokenize_tailo_syllables(text)
+        return list(map(tailo_digit_form, _raw_syllables(text)))
     if scheme == "tailo_initial_final":
-        tokens = []
-        for syllable in _tokenize_tailo_syllables(text):
-            initial, final = tailo_split_syllable(syllable)
-            if initial:
-                tokens.append(initial)
-            tokens.append(final)
-        return tokens
+        return list(chain.from_iterable(map(_initial_final_tokens, _raw_syllables(text))))
     raise BleuError(f"unknown tokenizer {scheme!r}; expected one of {TOKENIZER_TAGS}")
 
 

@@ -46,10 +46,10 @@ class UnitSequence:
     def __post_init__(self):
         if self.vocab_size < 1:
             raise QuantizeError(f"vocab_size must be positive, got {self.vocab_size}")
-        units = tuple(int(u) for u in self.units)
-        for u in units:
-            if not 0 <= u < self.vocab_size:
-                raise QuantizeError(f"unit {u} out of range [0, {self.vocab_size})")
+        units = tuple(map(int, self.units))
+        if units and not (0 <= min(units) and max(units) < self.vocab_size):
+            bad = next(u for u in units if not 0 <= u < self.vocab_size)
+            raise QuantizeError(f"unit {bad} out of range [0, {self.vocab_size})")
         object.__setattr__(self, "units", units)
 
     def __len__(self) -> int:
@@ -318,7 +318,7 @@ def assign_units(codebook: Codebook, features: np.ndarray, threads: int = 1) -> 
     if feats.shape[1] != codebook.dim:
         raise QuantizeError(f"feature dim {feats.shape[1]} != codebook dim {codebook.dim}")
     labels, _ = _nearest(feats, codebook.centroids, threads)
-    return UnitSequence(vocab_size=codebook.k, units=tuple(int(u) for u in labels))
+    return UnitSequence(vocab_size=codebook.k, units=labels.tolist())
 
 
 def dedup_units(seq: UnitSequence) -> UnitSequence:
@@ -389,7 +389,7 @@ def read_unit_lines(path: str | Path, vocab_size: int | None = None) -> list[Uni
     """Read one unit sequence per line (space-separated decimal ids)."""
     sequences = []
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    parsed = [tuple(int(tok) for tok in line.split()) for line in lines]
+    parsed = [tuple(map(int, line.split())) for line in lines]
     if vocab_size is None:
         peak = max((max(units) for units in parsed if units), default=0)
         vocab_size = peak + 1
@@ -399,5 +399,5 @@ def read_unit_lines(path: str | Path, vocab_size: int | None = None) -> list[Uni
 
 
 def write_unit_lines(sequences: Iterable[UnitSequence], path: str | Path) -> None:
-    lines = [" ".join(str(u) for u in seq.units) for seq in sequences]
+    lines = [" ".join(map(str, seq.units)) for seq in sequences]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from unitforge import cascade
 from unitforge.cascade import (
     AdapterError, CascadeError, PipelineSpec,
-    filter_code_switch, filter_min_length, levenshtein,
-    make_adapter, run_cascade,
+    filter_code_switch, filter_min_length, get_field, levenshtein,
+    make_adapter, run_cascade, set_field,
 )
 from unitforge.corpus import Manifest, Utterance
+from unitforge.evalbleu import BleuError
 
 
 @functools.lru_cache(maxsize=None)
@@ -142,6 +144,21 @@ class TestLevenshtein:
         for a, b in cases:
             assert levenshtein(a, b) == levenshtein(b, a) == dp_levenshtein(a, b), (a, b)
 
+    def test_shared_affixes_and_equal_sequences(self):
+        rng = random.Random(23)
+        words = ["tai5", "lo5", "su1", "ang5", "gi2", "a"]
+        cases = [("aa", "a"), ("aba", "a"), ("abab", "ab"), ("abcabc", "abc"),
+                 ("xay", "xy"), ("xaay", "xay"), ("ab", "ba"), ("aXa", "aYa"),
+                 (list("aaaa"), list("aa")), ((1, 2, 1), [1, 1])]
+        for _ in range(400):
+            prefix = [rng.choice(words) for _ in range(rng.choice((0, 1, 3, 70)))]
+            suffix = [rng.choice(words) for _ in range(rng.choice((0, 1, 3, 70)))]
+            cores = [[rng.choice(words) for _ in range(rng.randint(0, 6))] for _ in range(2)]
+            a, b = (prefix + core + suffix for core in cores)
+            cases += [(a, b), (a, list(a)), (a, tuple(a)), ("".join(a), "".join(b))]
+        for a, b in cases:
+            assert levenshtein(a, b) == levenshtein(b, a) == dp_levenshtein(a, b), (a, b)
+
 
 class TestFilters:
     def test_code_switch_identical_kept(self):
@@ -157,6 +174,21 @@ class TestFilters:
         assert levenshtein(list(asr), list(subtitle)) == 3
         assert filter_code_switch(asr, subtitle, max_norm_dist=0.30)
         assert not filter_code_switch(asr, subtitle, max_norm_dist=0.29)
+
+    def test_code_switch_equal_texts_skip_tokenizing(self, monkeypatch):
+        # argument errors still raise on equal texts
+        with pytest.raises(BleuError, match="unknown tokenizer"):
+            filter_code_switch("a", "a", tokenizer="word14b")
+        with pytest.raises(CascadeError, match="max_norm_dist"):
+            filter_code_switch("a", "a", max_norm_dist=1.5)
+
+        def no_tokenize(text, scheme):
+            raise AssertionError("equal texts need no tokens")
+
+        monkeypatch.setattr(cascade, "tokenize", no_tokenize)
+        for text in ("", "tsa1 ang5", "Tâi-lô  pe̍h"):
+            for tokenizer in ("char", "tailo_syllable", "tailo_initial_final", "word13a"):
+                assert filter_code_switch(text, text, tokenizer=tokenizer, max_norm_dist=0.0)
 
     def test_min_length_boundary(self):
         assert not filter_min_length("這是"[:2], min_chars=3)  # 2 chars
@@ -412,6 +444,19 @@ class TestRunCascade:
         assert (report.output_count + report.adapter_error_drops + report.field_parse_drops
                 + report.duplicate_id_drops + sum(report.filter_drops.values())) \
             == report.input_count == 5
+
+    def test_unparsable_units_raise_int_error(self):
+        # the ValueError run_cascade counts as field_parse_error, message unchanged
+        for value in ("7 x", "1 2.5", "3 -", "1 2 three"):
+            bad = next(tok for tok in value.split() if not tok.lstrip("-").isdigit())
+            with pytest.raises(ValueError) as info:
+                set_field(Utterance(id="a"), "units", value)
+            assert type(info.value) is ValueError
+            assert str(info.value) == f"invalid literal for int() with base 10: {bad!r}"
+        assert set_field(Utterance(id="a"), "units", " 007\u3000-1 ").units == (7, -1)
+        assert set_field(Utterance(id="a"), "units", " ").units is None
+        assert get_field(Utterance(id="a", units=(7, 0, 12)), "units") == "7 0 12"
+        assert get_field(Utterance(id="a", units=()), "units") == ""
 
     def test_unparsable_duration_dropped(self):
         spec = PipelineSpec.from_dict({

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -78,6 +79,16 @@ class TestReadTsv:
         with pytest.raises(ManifestError, match="line 2"):
             read_manifest(path)
 
+    def test_bad_units_cite_line_and_field(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("id\tlang\taudio\tduration_s\tspeaker\ttext\tunits\n"
+                        "u1\ten\t\t\t\t\t1 2\n"
+                        "u2\ten\t\t\t\t\t4 x 5\n")
+        with pytest.raises(ManifestError) as info:
+            read_manifest(path)
+        assert str(info.value) == "line 3: unparsable units field '4 x 5'"
+        assert info.value.line == 3
+
     def test_unknown_columns_preserved(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text("id\tlang\taudio\tduration_s\tspeaker\ttext\tunits\tzh\n"
@@ -124,6 +135,25 @@ class TestWrite:
         m = Manifest(records=(Utterance(id="a", text="has\ttab"),))
         with pytest.raises(ManifestError, match="text"):
             write_manifest(m, tmp_path / "m.tsv")
+
+    def test_jsonl_lines_equal_json_dumps(self, tmp_path):
+        records = (
+            Utterance(id="a", lang="hok", audio_ref="wav/ä.wav", duration_s=1e-7,
+                      speaker="s\"1", text="Tâi-lô \u2028 \x00 \\ 你好", units=(0, 2499),
+                      extra={"zh": "你好\t", "b": "\ud7ff", "a": "x"}),
+            Utterance(id="b", duration_s=1e20, units=()),
+            Utterance(id="c", duration_s=0.1, text=""),
+        )
+        write_manifest(Manifest(records=records), tmp_path / "m.jsonl")
+        want = [
+            {"id": "a", "lang": "hok", "audio": "wav/ä.wav", "duration_s": 1e-7,
+             "speaker": "s\"1", "text": "Tâi-lô \u2028 \x00 \\ 你好", "units": [0, 2499],
+             "a": "x", "b": "\ud7ff", "zh": "你好\t"},
+            {"id": "b", "duration_s": 1e20, "units": []},
+            {"id": "c", "duration_s": 0.1, "text": ""},
+        ]
+        assert (tmp_path / "m.jsonl").read_bytes() == "".join(
+            json.dumps(obj, ensure_ascii=False) + "\n" for obj in want).encode("utf-8")
 
     def test_format_inference_failure(self, tmp_path):
         with pytest.raises(ManifestError, match="infer"):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
+import sys
 import unicodedata
 from collections import Counter
 from pathlib import Path
@@ -223,13 +225,14 @@ class TestTokenizerMemo:
                  for _ in range(300)]
         tailo_digit_form.cache_clear()
         tailo_split_syllable.cache_clear()
+        evalbleu._initial_final_tokens.cache_clear()
         for _ in range(2):  # cold cache, then every syllable a hit
             assert [tokenize(line, scheme) for line in lines] == \
                 [fresh_tokenize(line, scheme) for line in lines]
         assert tailo_digit_form.cache_info().hits > 0
 
     def test_memo_is_bounded(self):
-        for fn in (tailo_digit_form, tailo_split_syllable):
+        for fn in (tailo_digit_form, tailo_split_syllable, evalbleu._initial_final_tokens):
             assert fn.cache_info().maxsize == evalbleu._SYLLABLE_CACHE_SIZE
 
     def test_empty_syllable_still_rejected_after_a_hit(self):
@@ -237,6 +240,62 @@ class TestTokenizerMemo:
         for _ in range(2):
             with pytest.raises(BleuError):
                 tailo_split_syllable("")
+
+
+# --- oracles for the split-based tokenizers ----------------------------------
+
+_SYLLABLE_SPLIT = re.compile(r"[\s\-]+")
+_WHITESPACE = tuple(chr(cp) for cp in range(sys.maxunicode + 1) if chr(cp).isspace())
+
+
+def regex_syllables(text):
+    """The regex split the Tai-lo tokenizers used before ``str.split``."""
+    return [tailo_digit_form(tok) for tok in _SYLLABLE_SPLIT.split(text) if tok]
+
+
+def loop_tokenize(text, scheme):
+    """The per-character and per-syllable loops the C-level passes replace."""
+    if scheme == "char":
+        return [ch for ch in text if not ch.isspace()]
+    if scheme == "tailo_syllable":
+        return regex_syllables(text)
+    tokens = []
+    for syllable in regex_syllables(text):
+        initial, final = tailo_split_syllable(syllable)
+        if initial:
+            tokens.append(initial)
+        tokens.append(final)
+    return tokens
+
+
+class TestSplitTokenizers:
+    def test_regex_space_class_is_isspace(self):
+        space = re.compile(r"\s")
+        assert [cp for cp in range(sys.maxunicode + 1)
+                if (space.fullmatch(chr(cp)) is not None) != chr(cp).isspace()] == []
+
+    @pytest.mark.parametrize("scheme", ["char", "tailo_syllable", "tailo_initial_final"])
+    def test_matches_regex_and_loop_oracles(self, scheme):
+        texts = [
+            "", " ", "-", "---", " - -\t", "-tsa1-", "  Tâi-lô  ", "tâi--lô", "tâi - lô",
+            "\u3000tsa\u00a0ê\u2028lâng\x1c", "-\u0085-gâu-\u2003",
+            "tsa1" + "".join(_WHITESPACE) + "ê5", "--" + "-".join(_WHITESPACE) + "--",
+            # not separators: zero-width space, Unicode hyphen, soft hyphen
+            "tsa\u200bê", "tâi\u2010lô", "tâi\u00adlô",
+        ]
+        rng = random.Random(8)
+        separators = list(_WHITESPACE) + ["-", "-", "\u200b", "\u2010"]
+        for _ in range(400):
+            parts = [rng.choice(separators) * rng.randint(1, 3) if rng.random() < 0.5
+                     else random_tailo_syllable(rng) for _ in range(rng.randint(0, 10))]
+            texts.append("".join(parts))
+        for text in texts:
+            assert tokenize(text, scheme) == loop_tokenize(text, scheme), repr(text)
+
+    def test_tokens_are_fresh_lists(self):
+        first = tokenize("tsa1-ang5 tsa1", "tailo_initial_final")
+        first.append("x")
+        assert tokenize("tsa1-ang5 tsa1", "tailo_initial_final") == ["ts", "a1", "ang5", "ts", "a1"]
 
 
 class TestBleuStats:

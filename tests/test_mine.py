@@ -476,6 +476,47 @@ class TestIndexedOverlapFilter:
         assert 0 < calls <= budget
         assert 1500 < len(kept) < n
 
+    def test_max_overlap_one_keeps_every_pair_without_ratios(self, monkeypatch):
+        # 600 10-s windows at a 0.01-s hop on one audio: every pair overlaps
+        gen = np.random.default_rng(13)
+        dense = [MinedPair(f"s{i}", f"t{i}", round(float(gen.random()), 2),
+                           src_segment=Segment("A", 0.01 * i, 0.01 * i + 10.0),
+                           tgt_segment=Segment("A", 1e5 + 0.01 * i, 1e5 + 0.01 * i + 0.3))
+                 for i in range(600)]
+        tiny = [MinedPair(f"e{i}", f"f{i}", 0.5, src_segment=Segment("B", start, end),
+                          tgt_segment=Segment("B", start, end))
+                for i, (start, end) in enumerate([
+                    (0.0, 5e-324), (0.0, 1e-300), (1e300, math.nextafter(1e300, math.inf)),
+                    (1.0, math.nextafter(1.0, 2.0)), (0.1 + 0.2, 0.3 + 0.3)])]
+        layouts = [dense, tiny] + [overlap_layout(gen, kind)
+                                   for kind in ("grid", "long", "offset", "ulp")]
+        sides = ("src", "tgt", "both")
+        want = [[oracle_filter_overlap(pairs, 1.0, side) for side in sides] for pairs in layouts]
+        for pairs, per_side in zip(layouts, want):
+            assert per_side == [sorted(pairs, key=lambda p: (-p.score, p.src_id, p.tgt_id))] * 3
+        # just below 1.0 the scan still runs: identical segments overlap by 1.0
+        twin = dense + [MinedPair("twin", "t0", 0.0, src_segment=dense[0].src_segment,
+                                  tgt_segment=dense[0].tgt_segment)]
+        for bound in (0.99, math.nextafter(1.0, 0.0)):
+            kept = filter_overlap(twin, bound, "both")
+            assert kept == oracle_filter_overlap(twin, bound, "both")
+            assert len(kept) < len(twin)
+
+        def no_ratio(a, b):
+            raise AssertionError("max_overlap=1.0 needs no ratio")
+
+        monkeypatch.setattr(mine, "_overlap_ratio", no_ratio)
+        for pairs, per_side in zip(layouts, want):
+            for side, expected in zip(sides, per_side):
+                assert filter_overlap(pairs, 1.0, side) == expected
+
+        # the missing-segment check still runs, naming the first such pair in order
+        src_only = [MinedPair("x", "y", 0.2, src_segment=seg("A", 0, 1)),
+                    MinedPair("w", "z", 0.9, src_segment=seg("A", 0, 1))]
+        assert filter_overlap(src_only, 1.0, side="src") == src_only[::-1]
+        with pytest.raises(MiningError, match=r"pair \(w, z\) lacks the tgt segment"):
+            filter_overlap(src_only, 1.0, side="both")
+
 
 def margin_choice_fixture():
     """x0's one cosine neighbor is t0 (cos 0.80), but t0 is also x1's exact

@@ -8,7 +8,7 @@ from unitforge import quantize
 from unitforge.quantize import (
     Codebook, QuantizeError, UnitSequence,
     assign_units, ctc_collapse, dedup_units, kmeans_fit,
-    read_codebook, write_codebook,
+    read_codebook, read_unit_lines, write_codebook, write_unit_lines,
 )
 
 
@@ -394,6 +394,37 @@ class TestUnitOps:
     def test_dedup_no_adjacent_repeats_untouched(self):
         seq = UnitSequence(vocab_size=4, units=(1, 2, 1))
         assert dedup_units(seq).units == (1, 2, 1)
+
+    def test_out_of_range_names_first_bad_unit(self):
+        for units, bad in [((1, 9, -1, 7), 9), ((2, -1, 9), -1), ((5,), 5),
+                           ((0, 4, 4, 12), 12), (np.array([3, 0, 7]), 7)]:
+            with pytest.raises(QuantizeError) as info:
+                UnitSequence(vocab_size=5, units=units)
+            assert str(info.value) == f"unit {bad} out of range [0, 5)"
+
+    def test_units_become_python_ints(self):
+        for units in (np.array([4, 0, 3], dtype=np.int64), ["4", " 0", "3"], (4.0, 0, True + 2)):
+            seq = UnitSequence(vocab_size=5, units=units)
+            assert seq.units == (4, 0, 3) and all(type(u) is int for u in seq.units)
+        cb = Codebook(k=3, dim=1, centroids=np.array([[0.0], [1.0], [2.0]], np.float32), seed=0)
+        labels = assign_units(cb, np.array([[2.1], [0.2], [0.9]])).units
+        assert labels == (2, 0, 1) and all(type(u) is int for u in labels)
+
+    def test_unit_lines_round_trip_and_parse_errors(self, tmp_path):
+        path = tmp_path / "units.txt"
+        seqs = [UnitSequence(vocab_size=12, units=(11, 0, 3)), UnitSequence(vocab_size=12),
+                UnitSequence(vocab_size=12, units=(7,))]
+        write_unit_lines(seqs, path)
+        assert path.read_text(encoding="utf-8") == "11 0 3\n\n7\n"
+        assert read_unit_lines(path) == seqs
+        path.write_text("1 2\n3 x 4\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_unit_lines(path)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "invalid literal for int() with base 10: 'x'"
+        path.write_text("1 2\n3 -4\n", encoding="utf-8")
+        with pytest.raises(QuantizeError, match=r"unit -4 out of range \[0, 4\)"):
+            read_unit_lines(path)
 
     def test_ctc_canonical(self):
         assert ctc_collapse([3, 3, 0, 4, 4, 0, 0], blank=0).units == (3, 4)
