@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .corpus import TSV_COLUMNS, Manifest, Utterance
-from .evalbleu import TOKENIZER_TAGS, tokenize
+from .evalbleu import tokenize
 
 FILTER_KINDS = ("min_length", "code_switch")
 
@@ -350,8 +350,6 @@ def filter_code_switch(asr_text: str, subtitle: str, tokenizer: str = "char",
     subtitle stays within ``max_norm_dist`` (distance over subtitle length)."""
     if not 0.0 <= max_norm_dist <= 1.0:
         raise CascadeError(f"max_norm_dist must be in [0, 1], got {max_norm_dist}")
-    if asr_text == subtitle and tokenizer in TOKENIZER_TAGS:
-        return True  # distance 0
     asr_tokens = tokenize(asr_text, tokenizer)
     sub_tokens = tokenize(subtitle, tokenizer)
     dist = levenshtein(asr_tokens, sub_tokens)

@@ -297,10 +297,6 @@ def _write_tsv(manifest: Manifest, path: Path) -> None:
     path.write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
-# one encoder for every line: the same bytes as json.dumps(obj, ensure_ascii=False)
-_JSON_LINE = json.JSONEncoder(ensure_ascii=False)
-
-
 def _write_jsonl(manifest: Manifest, path: Path) -> None:
     lines = []
     for rec in manifest.records:
@@ -319,7 +315,7 @@ def _write_jsonl(manifest: Manifest, path: Path) -> None:
             obj["units"] = list(rec.units)
         for key in sorted(rec.extra):
             obj[key] = rec.extra[key]
-        lines.append(_JSON_LINE.encode(obj))
+        lines.append(json.dumps(obj, ensure_ascii=False))
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 

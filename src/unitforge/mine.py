@@ -290,7 +290,6 @@ def filter_overlap(pairs: Sequence[MinedPair], max_overlap: float,
     the longest kept duration before it and its end. Each segment costs two
     bisections, one list insert if kept, and one ratio per kept segment in
     that window, instead of one ratio per kept segment of its audio_id.
-    At ``max_overlap=1.0`` every pair is kept without a comparison.
     """
     if not 0.0 <= max_overlap <= 1.0:
         raise MiningError(f"max_overlap must be in [0, 1], got {max_overlap}")
@@ -310,17 +309,6 @@ def filter_overlap(pairs: Sequence[MinedPair], max_overlap: float,
         return segs
 
     ordered = sorted(pairs, key=lambda p: (-p.score, p.src_id, p.tgt_id))
-    if max_overlap == 1.0:
-        # Every ratio is <= 1.0, so every pair is kept. For segments a and b,
-        # min(ends) - max(starts) <= a.end_s - a.start_s exactly, and rounding
-        # is monotone, so fl(min(ends) - max(starts)) <= a.duration_s; the
-        # same holds for b, so the overlap is at most min(durations). That
-        # minimum is positive (start < end, and a difference of two unequal
-        # floats never rounds to 0), and a quotient x / y with 0 <= x <= y
-        # rounds to at most 1.0.
-        for pair in ordered:
-            segments_of(pair)
-        return ordered
     kept: list[MinedPair] = []
     by_audio: defaultdict[str, _KeptIndex] = defaultdict(_KeptIndex)
     for pair in ordered:

@@ -47,9 +47,9 @@ class UnitSequence:
         if self.vocab_size < 1:
             raise QuantizeError(f"vocab_size must be positive, got {self.vocab_size}")
         units = tuple(map(int, self.units))
-        if units and not (0 <= min(units) and max(units) < self.vocab_size):
-            bad = next(u for u in units if not 0 <= u < self.vocab_size)
-            raise QuantizeError(f"unit {bad} out of range [0, {self.vocab_size})")
+        for u in units:
+            if not 0 <= u < self.vocab_size:
+                raise QuantizeError(f"unit {u} out of range [0, {self.vocab_size})")
         object.__setattr__(self, "units", units)
 
     def __len__(self) -> int:

@@ -81,13 +81,14 @@ class TestReadTsv:
 
     def test_bad_units_cite_line_and_field(self, tmp_path):
         path = tmp_path / "m.tsv"
-        path.write_text("id\tlang\taudio\tduration_s\tspeaker\ttext\tunits\n"
-                        "u1\ten\t\t\t\t\t1 2\n"
-                        "u2\ten\t\t\t\t\t4 x 5\n")
-        with pytest.raises(ManifestError) as info:
-            read_manifest(path)
-        assert str(info.value) == "line 3: unparsable units field '4 x 5'"
-        assert info.value.line == 3
+        for bad in ("4 x 5", "4 1.5", "1e3"):
+            path.write_text("id\tlang\taudio\tduration_s\tspeaker\ttext\tunits\n"
+                            "u1\ten\t\t\t\t\t1 2\n"
+                            f"u2\ten\t\t\t\t\t{bad}\n")
+            with pytest.raises(ManifestError) as info:
+                read_manifest(path)
+            assert str(info.value) == f"line 3: unparsable units field {bad!r}"
+            assert info.value.line == 3
 
     def test_unknown_columns_preserved(self, tmp_path):
         path = tmp_path / "m.tsv"

@@ -476,7 +476,7 @@ class TestIndexedOverlapFilter:
         assert 0 < calls <= budget
         assert 1500 < len(kept) < n
 
-    def test_max_overlap_one_keeps_every_pair_without_ratios(self, monkeypatch):
+    def test_max_overlap_one_keeps_every_pair(self):
         # 600 10-s windows at a 0.01-s hop on one audio: every pair overlaps
         gen = np.random.default_rng(13)
         dense = [MinedPair(f"s{i}", f"t{i}", round(float(gen.random()), 2),
@@ -491,10 +491,12 @@ class TestIndexedOverlapFilter:
         layouts = [dense, tiny] + [overlap_layout(gen, kind)
                                    for kind in ("grid", "long", "offset", "ulp")]
         sides = ("src", "tgt", "both")
-        want = [[oracle_filter_overlap(pairs, 1.0, side) for side in sides] for pairs in layouts]
-        for pairs, per_side in zip(layouts, want):
-            assert per_side == [sorted(pairs, key=lambda p: (-p.score, p.src_id, p.tgt_id))] * 3
-        # just below 1.0 the scan still runs: identical segments overlap by 1.0
+        for pairs in layouts:
+            visit_order = sorted(pairs, key=lambda p: (-p.score, p.src_id, p.tgt_id))
+            for side in sides:
+                assert filter_overlap(pairs, 1.0, side) == visit_order
+                assert oracle_filter_overlap(pairs, 1.0, side) == visit_order
+        # just below 1.0 identical segments (overlap 1.0) are dropped
         twin = dense + [MinedPair("twin", "t0", 0.0, src_segment=dense[0].src_segment,
                                   tgt_segment=dense[0].tgt_segment)]
         for bound in (0.99, math.nextafter(1.0, 0.0)):
@@ -502,15 +504,7 @@ class TestIndexedOverlapFilter:
             assert kept == oracle_filter_overlap(twin, bound, "both")
             assert len(kept) < len(twin)
 
-        def no_ratio(a, b):
-            raise AssertionError("max_overlap=1.0 needs no ratio")
-
-        monkeypatch.setattr(mine, "_overlap_ratio", no_ratio)
-        for pairs, per_side in zip(layouts, want):
-            for side, expected in zip(sides, per_side):
-                assert filter_overlap(pairs, 1.0, side) == expected
-
-        # the missing-segment check still runs, naming the first such pair in order
+        # the missing-segment check names the first such pair in visit order
         src_only = [MinedPair("x", "y", 0.2, src_segment=seg("A", 0, 1)),
                     MinedPair("w", "z", 0.9, src_segment=seg("A", 0, 1))]
         assert filter_overlap(src_only, 1.0, side="src") == src_only[::-1]
