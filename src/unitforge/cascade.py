@@ -16,7 +16,7 @@ Given a cache directory, ``exec:`` outputs are cached in a
 content-addressed on-disk store keyed by (kind, name, endpoint, input),
 so re-running a cascade over a large manifest only recomputes misses,
 and an adapter pointed at a new endpoint never serves the old
-endpoint's outputs. Cache writes are atomic (write then rename). An
+endpoint's outputs. Cache writes are atomic (``fileio.write_file``). An
 input containing a line break fails on both schemes.
 """
 
@@ -27,15 +27,15 @@ import json
 import os
 import shlex
 import subprocess
-import tempfile
 from dataclasses import dataclass, field, replace
 from itertools import compress, count
 from operator import ne
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .corpus import TSV_COLUMNS, Manifest, Utterance
+from .corpus import TSV_COLUMNS, Manifest, Utterance, get_field
 from .evalbleu import tokenize
+from .fileio import write_file
 
 FILTER_KINDS = ("min_length", "code_switch")
 
@@ -149,17 +149,8 @@ class Adapter:
 
     def _cache_put(self, line: str, output: str) -> None:
         path = self._cache_path(line)
-        parent = os.path.dirname(path)
-        os.makedirs(parent, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(output)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        write_file(path, output)
 
     # execution ----------------------------------------------------------------
 
@@ -210,24 +201,6 @@ def make_adapter(kind: str, name: str, endpoint: str,
 
 
 # --- record fields -----------------------------------------------------------
-
-def get_field(rec: Utterance, name: str) -> str:
-    if name == "id":
-        return rec.id
-    if name == "lang":
-        return rec.lang
-    if name == "audio":
-        return rec.audio_ref or ""
-    if name == "duration_s":
-        return repr(rec.duration_s) if rec.duration_s is not None else ""
-    if name == "speaker":
-        return rec.speaker or ""
-    if name == "text":
-        return rec.text or ""
-    if name == "units":
-        return " ".join(map(str, rec.units)) if rec.units else ""
-    return rec.extra.get(name, "")
-
 
 def set_field(rec: Utterance, name: str, value: str) -> Utterance:
     if name == "id":

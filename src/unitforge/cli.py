@@ -6,6 +6,9 @@ Conventions:
   (except where a ``--stdout`` flag says otherwise); logs and the
   effective seed of randomized commands go to stderr;
 * reports are JSON files;
+* every output file replaces its target atomically (``fileio.write_file``),
+  so a failed write leaves the previous file in place;
+* ``--seed`` and ``--threads`` go after the action (``quantize fit --seed 7``);
 * exit 0 on success, 1 on argument/validation errors, 2 on runtime
   failures;
 * ``--threads N`` never changes any output, for any N >= 1.
@@ -20,6 +23,7 @@ from pathlib import Path
 
 from . import balance, cascade, corpus, embed, mine, quantize
 from . import evalbleu
+from .fileio import write_file
 from .quantize import read_unit_lines, write_unit_lines
 
 _VALIDATION_ERRORS = (
@@ -48,7 +52,7 @@ def _write_json(obj, path: str | None, to_stdout: bool = False,
         return
     if path is None:
         path = default_name  # reports always land in a file unless --stdout
-    Path(path).write_text(text, encoding="utf-8")
+    write_file(path, text)
     _log(f"wrote {path}")
 
 
@@ -96,14 +100,11 @@ def _cmd_units_dedup(args) -> int:
 
 
 def _cmd_units_ctc_collapse(args) -> int:
-    if args.vocab_size is None:
-        # let ctc_collapse infer a vocabulary covering both units and blank
-        lines = Path(args.infile).read_text(encoding="utf-8").splitlines()
-        collapsed = [quantize.ctc_collapse([int(tok) for tok in line.split()],
-                                           blank=args.blank) for line in lines]
-    else:
-        sequences = read_unit_lines(args.infile, args.vocab_size)
-        collapsed = [quantize.ctc_collapse(seq, blank=args.blank) for seq in sequences]
+    # without --vocab-size, ctc_collapse infers one per line covering units and blank
+    collapsed = [
+        quantize.ctc_collapse(list(map(int, line.split())), blank=args.blank,
+                              vocab_size=args.vocab_size)
+        for line in _read_lines(args.infile)]
     write_unit_lines(collapsed, args.out)
     return 0
 
@@ -193,8 +194,7 @@ def _cmd_balance(args) -> int:
         _log(f"seed: {args.seed}")
         pools = balance.read_pools_tsv(args.pools)
         schedule = balance.sample_schedule(dist, pools, total=args.total, seed=args.seed)
-        Path(args.schedule_out).write_text(
-            "\n".join(schedule) + ("\n" if schedule else ""), encoding="utf-8")
+        write_file(args.schedule_out, "\n".join(schedule) + ("\n" if schedule else ""))
     return 0
 
 
@@ -243,8 +243,7 @@ def _cmd_cascade_run(args) -> int:
 
 # --- parser ------------------------------------------------------------------
 
-_CACHE_DIR_HELP = ("cache exec: adapter outputs here; mock: adapters are never cached, "
-                   "and $UNITFORGE_CACHE_DIR is not read")
+_CACHE_DIR_HELP = "cache exec: adapter outputs here; mock: adapters are never cached"
 
 
 def build_parser() -> _Parser:
@@ -259,8 +258,7 @@ def build_parser() -> _Parser:
     top = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     # manifest
-    p_manifest = top.add_parser("manifest", help="manifest inspection and conversion",
-                                parents=[common])
+    p_manifest = top.add_parser("manifest", help="manifest inspection and conversion")
     sub = p_manifest.add_subparsers(dest="action", required=True, parser_class=_Parser)
     p = sub.add_parser("stats", parents=[common])
     p.add_argument("--in", dest="infile", required=True)
@@ -276,8 +274,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_manifest_convert)
 
     # quantize
-    p_quant = top.add_parser("quantize", help="k-means codebooks and unit assignment",
-                             parents=[common])
+    p_quant = top.add_parser("quantize", help="k-means codebooks and unit assignment")
     sub = p_quant.add_subparsers(dest="action", required=True, parser_class=_Parser)
     p = sub.add_parser("fit", parents=[common])
     p.add_argument("--k", type=int, required=True)
@@ -293,7 +290,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_quantize_assign)
 
     # units
-    p_units = top.add_parser("units", help="unit sequence post-processing", parents=[common])
+    p_units = top.add_parser("units", help="unit sequence post-processing")
     sub = p_units.add_subparsers(dest="action", required=True, parser_class=_Parser)
     p = sub.add_parser("dedup", parents=[common])
     p.add_argument("--in", dest="infile", required=True)
@@ -308,7 +305,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_units_ctc_collapse)
 
     # embed
-    p_embed = top.add_parser("embed", help="embedding matrix utilities", parents=[common])
+    p_embed = top.add_parser("embed", help="embedding matrix utilities")
     sub = p_embed.add_subparsers(dest="action", required=True, parser_class=_Parser)
     p = sub.add_parser("pool", parents=[common])
     p.add_argument("--in", dest="infile", required=True)
@@ -320,7 +317,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_embed_normalize)
 
     # mine
-    p_mine = top.add_parser("mine", help="embedding-space pair mining", parents=[common])
+    p_mine = top.add_parser("mine", help="embedding-space pair mining")
     sub = p_mine.add_subparsers(dest="action", required=True, parser_class=_Parser)
     p = sub.add_parser("run", parents=[common])
     p.add_argument("--src", required=True)
@@ -386,7 +383,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_asr_bleu)
 
     # cascade
-    p_casc = top.add_parser("cascade", help="pseudo-labeling pipelines", parents=[common])
+    p_casc = top.add_parser("cascade", help="pseudo-labeling pipelines")
     sub = p_casc.add_subparsers(dest="action", required=True, parser_class=_Parser)
     p = sub.add_parser("run", parents=[common])
     p.add_argument("--spec", required=True, help="pipeline JSON")

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping
 
+from .fileio import write_file
+
 
 TSV_COLUMNS = ("id", "lang", "audio", "duration_s", "speaker", "text", "units")
 
@@ -269,12 +271,23 @@ def write_manifest(manifest: Manifest, path: str | Path, fmt: str | None = None)
         _write_jsonl(manifest, path)
 
 
-def _format_float(value: float) -> str:
-    return repr(float(value))
-
-
-def _units_str(units: tuple[int, ...] | None) -> str:
-    return " ".join(map(str, units)) if units else ""
+def get_field(rec: Utterance, name: str) -> str:
+    """A record field as its TSV text; an absent field is the empty string."""
+    if name == "id":
+        return rec.id
+    if name == "lang":
+        return rec.lang
+    if name == "audio":
+        return rec.audio_ref or ""
+    if name == "duration_s":
+        return repr(rec.duration_s) if rec.duration_s is not None else ""
+    if name == "speaker":
+        return rec.speaker or ""
+    if name == "text":
+        return rec.text or ""
+    if name == "units":
+        return " ".join(map(str, rec.units)) if rec.units else ""
+    return rec.extra.get(name, "")
 
 
 def _write_tsv(manifest: Manifest, path: Path) -> None:
@@ -282,19 +295,9 @@ def _write_tsv(manifest: Manifest, path: Path) -> None:
     header = list(TSV_COLUMNS) + extra_cols
     out = ["\t".join(header)]
     for rec in manifest.records:
-        row = [
-            rec.id,
-            rec.lang,
-            rec.audio_ref or "",
-            _format_float(rec.duration_s) if rec.duration_s is not None else "",
-            rec.speaker or "",
-            rec.text or "",
-            _units_str(rec.units),
-        ]
-        row.extend(rec.extra.get(col, "") for col in extra_cols)
         out.append("\t".join(
-            _check_tsv_field(val, col, rec.id) for col, val in zip(header, row)))
-    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+            _check_tsv_field(get_field(rec, col), col, rec.id) for col in header))
+    write_file(path, "\n".join(out) + "\n")
 
 
 def _write_jsonl(manifest: Manifest, path: Path) -> None:
@@ -316,7 +319,7 @@ def _write_jsonl(manifest: Manifest, path: Path) -> None:
         for key in sorted(rec.extra):
             obj[key] = rec.extra[key]
         lines.append(json.dumps(obj, ensure_ascii=False))
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_file(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def manifest_stats(manifest: Manifest) -> dict[str, dict[str, float | int]]:

@@ -7,15 +7,20 @@ parallel execution.
 On-disk format (``EMB1``): magic bytes ``EMB1``, little-endian u32 row
 count, u32 dimension, then rows*dim IEEE-754 binary32 values, row-major.
 Row ids, when present, live in a sidecar text file at ``<path>.ids``,
-one id per line. Round-trips are bit-exact.
+one id per line; writing a matrix without ids removes the sidecar.
+Round-trips are bit-exact.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 import numpy as np
+
+from .fileio import write_file
 
 EMB1_MAGIC = b"EMB1"
 _NORMALIZE_BLOCK = 256  # rows per float64 block in l2_normalize
@@ -64,14 +69,19 @@ class EmbeddingMatrix:
 
 
 def write_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(EMB1_MAGIC)
-        fh.write(struct.pack("<II", matrix.rows, matrix.dim))
-        fh.write(matrix.data.astype("<f4", copy=False).tobytes())
-    if matrix.ids is not None:
-        Path(str(path) + ".ids").write_text(
-            "\n".join(matrix.ids) + ("\n" if matrix.ids else ""), encoding="utf-8")
+    """Write ``path`` in EMB1; the ``.ids`` sidecar is written, or removed
+    when the matrix has no ids, so a reader never pairs it with old ids."""
+    ids_path = f"{path}.ids"
+    # encoded first, so an unencodable id fails before either file changes
+    encoded_ids = None if matrix.ids is None else (
+        "\n".join(matrix.ids) + ("\n" if matrix.ids else "")).encode("utf-8")
+    write_file(path, EMB1_MAGIC + struct.pack("<II", matrix.rows, matrix.dim),
+               matrix.data.astype("<f4", copy=False))
+    if encoded_ids is None:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(ids_path)
+    else:
+        write_file(ids_path, encoded_ids)
 
 
 def read_embeddings(path: str | Path) -> EmbeddingMatrix:

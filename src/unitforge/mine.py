@@ -25,6 +25,7 @@ import numpy as np
 
 from .corpus import Segment
 from .embed import EmbeddingMatrix, cosine_block, rows_with_norms
+from .fileio import write_file
 from .parallel import chunk_ranges, map_chunks
 
 
@@ -374,7 +375,7 @@ def write_pairs(pairs: Sequence[MinedPair], path: str | Path) -> None:
             else:
                 row.extend([seg.audio_id, repr(seg.start_s), repr(seg.end_s)])
         lines.append("\t".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def read_pairs(path: str | Path) -> list[MinedPair]:

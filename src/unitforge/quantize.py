@@ -29,6 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import embed
+from .fileio import write_file
 from .parallel import chunk_ranges, map_chunks
 
 
@@ -351,7 +352,6 @@ def ctc_collapse(frame_labels: Sequence[int] | UnitSequence, blank: int,
 
 def write_codebook(codebook: Codebook, path: str | Path) -> None:
     """EMB1 centroid matrix plus a one-line JSON sidecar at ``<path>.meta.jsonl``."""
-    path = Path(path)
     embed.write_embeddings(embed.EmbeddingMatrix(data=codebook.centroids), path)
     meta = {
         "k": codebook.k,
@@ -360,8 +360,7 @@ def write_codebook(codebook: Codebook, path: str | Path) -> None:
         "iters_run": codebook.iters_run,
         "final_inertia": codebook.final_inertia,
     }
-    Path(str(path) + ".meta.jsonl").write_text(
-        json.dumps(meta) + "\n", encoding="utf-8")
+    write_file(f"{path}.meta.jsonl", json.dumps(meta) + "\n")
 
 
 def read_codebook(path: str | Path) -> Codebook:
@@ -400,4 +399,4 @@ def read_unit_lines(path: str | Path, vocab_size: int | None = None) -> list[Uni
 
 def write_unit_lines(sequences: Iterable[UnitSequence], path: str | Path) -> None:
     lines = [" ".join(map(str, seq.units)) for seq in sequences]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_file(path, "\n".join(lines) + ("\n" if lines else ""))

@@ -208,3 +208,71 @@ class TestDeterminism:
         serial = run_all(workspace, tmp_path / "t1", threads=1)
         threaded = run_all(workspace, tmp_path / "t8", threads=8)
         assert serial == threaded
+
+
+class TestCommonFlags:
+    """``--seed`` and ``--threads`` belong to the action, not its group."""
+
+    def group_level(self, workspace, out):
+        s = str
+        return [
+            ["manifest", "--seed", "1", "stats", "--in", s(workspace["m.tsv"]), "--out", s(out)],
+            ["quantize", "--seed", "7", "fit", "--k", "2",
+             "--in", s(workspace["feats.emb"]), "--out", s(out)],
+            ["units", "--threads", "2", "dedup", "--in", s(workspace["units.txt"]),
+             "--out", s(out)],
+            ["embed", "--threads", "2", "pool", "--in", s(workspace["frames.emb"]),
+             "--out", s(out)],
+            ["mine", "--seed", "3", "run", "--src", s(workspace["src.emb"]),
+             "--tgt", s(workspace["tgt.emb"]), "--out", s(out)],
+            ["cascade", "--threads", "2", "run", "--spec", s(workspace["pipeline.json"]),
+             "--in", s(workspace["casc.tsv"]), "--out", s(out)],
+        ]
+
+    def test_group_level_flags_rejected(self, workspace, tmp_path, capsys):
+        out = tmp_path / "out"
+        for argv in self.group_level(workspace, out):
+            assert dispatch(argv) == 1, argv
+            assert "usage" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_flags_after_action_honoured(self, workspace, tmp_path, capsys):
+        assert dispatch(["quantize", "fit", "--seed", "7", "--k", "2",
+                         "--in", str(workspace["feats.emb"]),
+                         "--out", str(tmp_path / "cb.emb")]) == 0
+        assert "seed: 7" in capsys.readouterr().err
+        assert json.loads((tmp_path / "cb.emb.meta.jsonl").read_text())["seed"] == 7
+        # the `mine` shorthand inserts `run` before every flag
+        assert dispatch(["mine", "--threads", "2", "--src", str(workspace["src.emb"]),
+                         "--tgt", str(workspace["tgt.emb"]),
+                         "--out", str(tmp_path / "pairs.tsv")]) == 0
+
+
+class TestCtcCollapse:
+    UNITS = "0 0 3 3 0 5 5 5\n2 2 2\n\n7 0 7\n"
+
+    def run(self, tmp_path, text, *flags):
+        src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        src.write_text(text, encoding="utf-8")
+        out.unlink(missing_ok=True)
+        code = dispatch(["units", "ctc-collapse", "--in", str(src), "--out", str(out), *flags])
+        return code, out.read_text(encoding="utf-8") if out.exists() else None
+
+    @pytest.mark.parametrize("vocab", [(), ("--vocab-size", "8")])
+    def test_outputs(self, tmp_path, vocab):
+        assert self.run(tmp_path, self.UNITS, "--blank", "0", *vocab) == (0, "3 5\n2\n\n7 7\n")
+        assert self.run(tmp_path, self.UNITS, "--blank", "5", *vocab) == (
+            0, "0 3 0\n2\n\n7 0 7\n")
+        assert self.run(tmp_path, "", "--blank", "0", *vocab) == (0, "")
+
+    @pytest.mark.parametrize("vocab", [(), ("--vocab-size", "8")])
+    def test_errors_exit_1(self, tmp_path, vocab):
+        assert self.run(tmp_path, "1 x 2\n", "--blank", "0", *vocab) == (1, None)
+        assert self.run(tmp_path, "1 -1\n", "--blank", "0", *vocab) == (1, None)
+        assert self.run(tmp_path, "1 2\n", "--blank", "-1", *vocab) == (1, None)
+
+    def test_vocab_size_bounds_units_and_blank(self, tmp_path):
+        # without --vocab-size each line's vocabulary covers its units and blank
+        assert self.run(tmp_path, self.UNITS, "--blank", "9") == (0, "0 3 0 5\n2\n\n7 0 7\n")
+        assert self.run(tmp_path, self.UNITS, "--blank", "9", "--vocab-size", "8") == (1, None)
+        assert self.run(tmp_path, self.UNITS, "--blank", "0", "--vocab-size", "6") == (1, None)

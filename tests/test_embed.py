@@ -49,6 +49,17 @@ class TestEmb1Format:
         assert blob[4:12] == (1).to_bytes(4, "little") + (2).to_bytes(4, "little")
         assert len(blob) == 12 + 8
 
+    def test_writing_without_ids_removes_stale_sidecar(self, tmp_path):
+        path = tmp_path / "x.emb"
+        write_embeddings(make_matrix([[1.0], [2.0]], ids=("a", "b")), path)
+        write_embeddings(make_matrix([[3.0], [4.0]]), path)
+        assert read_embeddings(path).ids is None
+        # with a different row count the stale ids made the read fail
+        write_embeddings(make_matrix([[1.0], [2.0]], ids=("a", "b")), path)
+        write_embeddings(make_matrix([[5.0]]), path)
+        assert read_embeddings(path).data.tolist() == [[5.0]]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.emb"]
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.emb"
         path.write_bytes(b"NOPE" + bytes(8))
