@@ -182,15 +182,16 @@ def _cmd_mine_simsearch_eval(args) -> int:
 
 
 def _cmd_balance(args) -> int:
-    counts = balance.read_counts_tsv(args.counts)
-    dist = balance.temperature_distribution(counts, args.temperature)
-    _write_json({"temperature": dist.temperature, "probs": dist.as_dict()},
-                args.out, args.stdout, default_name="dist.json")
     if args.total is not None:
         if args.pools is None:
             raise balance.BalanceError("--total requires --pools")
         if args.schedule_out is None:
             raise balance.BalanceError("--total requires --schedule-out")
+    counts = balance.read_counts_tsv(args.counts)
+    dist = balance.temperature_distribution(counts, args.temperature)
+    _write_json({"temperature": dist.temperature, "probs": dist.as_dict()},
+                args.out, args.stdout, default_name="dist.json")
+    if args.total is not None:
         _log(f"seed: {args.seed}")
         pools = balance.read_pools_tsv(args.pools)
         schedule = balance.sample_schedule(dist, pools, total=args.total, seed=args.seed)

@@ -4,11 +4,14 @@ The fitting loop is plain Lloyd iteration over k-means++ seeds. All
 randomness flows through ``numpy.random.default_rng(seed)`` (PCG64).
 
 Nearest-centroid search ranks centroids per 256-row chunk with one float64
-GEMM (||x||^2 - 2 x.c + ||c||^2), keeps every centroid that a rounding-error
-bound cannot rule out, and picks among those by the direct float64 sum of
-(x - c)^2, lowest index on ties. Labels therefore equal the brute-force
-argmin exactly, and the returned distances (hence the inertia) come from the
-direct formula, so a fit is byte-identical for any thread count or BLAS
+GEMM (||x||^2 - 2 x.c + ||c||^2) and keeps every centroid that a
+rounding-error bound cannot rule out. A row left with one candidate is
+decided: that centroid is strictly nearest by the direct float64 sum of
+(x - c)^2, so no direct sum is taken. Rows left with several pick among them
+by that direct sum, lowest index on ties. Labels therefore equal the
+brute-force argmin exactly. The fit takes each row's direct distance to its
+chosen centroid for the inertia and for reseeding, and sums each cluster's
+rows in row order, so a fit is byte-identical for any thread count or BLAS
 blocking given the same inputs.
 
 k-means++ seeding is screened by the same certificate: one GEMV per new seed
@@ -115,33 +118,25 @@ def _certificate(dim: int, cc_max: float) -> tuple[float, float, float]:
     return 4.0 * (dim + 2) * f64.eps, dim * f64.tiny, f64.max / 8 - cc_max
 
 
-def _direct_argmin(x: np.ndarray, cents: np.ndarray,
-                   cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _direct_argmin(x: np.ndarray, cents: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """Per row of the (rows, k) mask ``cand``, the candidate with the least
-    direct float64 sum of (x - c)^2 and that sum; lowest index on ties.
+    direct float64 sum of (x - c)^2; lowest index on ties.
 
     Each row needs at least one candidate. The sum is taken exactly as the
     brute-force oracle takes it, so equal inputs give equal bits.
     """
     rows, cols = np.nonzero(cand)
-    d2 = np.empty(rows.shape[0])
-    step = max(1, (1 << 20) // max(x.shape[1], 1))  # bounds the difference block
-    for lo in range(0, rows.shape[0], step):
-        diff = x[rows[lo:lo + step]] - cents[cols[lo:lo + step]]
-        d2[lo:lo + step] = np.square(diff, out=diff).sum(axis=1)
+    d2 = _direct_d2(x, cents, rows, cols)
     # a stable sort by (row, distance) keeps ascending columns within ties
     # (with finite centroids a NaN row is NaN throughout, so it keeps column 0)
     order = np.lexsort((d2, rows))
     first = order[np.r_[True, rows[order[1:]] != rows[order[:-1]]]]
-    return cols[first], d2[first]
+    return cols[first]
 
 
-def _nearest(features: np.ndarray, centroids: np.ndarray,
-             threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Exact nearest centroid per row: (labels, squared distances).
-
-    Distances are the float64 sum over the feature axis of (x - c)^2,
-    ties broken toward the lowest centroid index.
+def _nearest(features: np.ndarray, centroids: np.ndarray, threads: int = 1) -> np.ndarray:
+    """Exact nearest centroid per row by the float64 sum over the feature
+    axis of (x - c)^2, ties broken toward the lowest centroid index.
     """
     feats = features.astype(np.float64, copy=False)
     cents = np.ascontiguousarray(centroids, dtype=np.float64)
@@ -152,7 +147,7 @@ def _nearest(features: np.ndarray, centroids: np.ndarray,
     upper_shift = cc + col_slack
     col_gap = 2.0 * col_slack
 
-    def one_chunk(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    def one_chunk(bounds: tuple[int, int]) -> np.ndarray:
         lo, hi = bounds
         x = feats[lo:hi]
         with np.errstate(all="ignore"):
@@ -165,31 +160,40 @@ def _nearest(features: np.ndarray, centroids: np.ndarray,
             # keep j unless expansion_j - slack_ij > min_l(expansion_l + slack_il)
             cand = upper - col_gap <= thresh[:, None]
         cand[~(xx <= xx_limit)] = True
-        return _direct_argmin(x, cents, cand)
+        # every centroid ruled out is strictly farther than the nearest one,
+        # so a row's sole candidate is its label
+        labels = cand.argmax(axis=1)
+        open_rows = np.flatnonzero(np.count_nonzero(cand, axis=1) > 1)
+        if open_rows.size:
+            labels[open_rows] = _direct_argmin(x[open_rows], cents, cand[open_rows])
+        return labels
 
     parts = map_chunks(one_chunk, chunk_ranges(feats.shape[0]), threads)
     if not parts:
-        return np.zeros(0, dtype=np.int64), np.zeros(0)
-    labels = np.concatenate([p[0] for p in parts])
-    dists = np.concatenate([p[1] for p in parts])
-    return labels, dists
+        return np.zeros(0, dtype=np.int64)
+    return np.concatenate(parts)
 
 
-_DIRECT_BLOCK = 2048  # rows per direct-distance block in k-means++ seeding
+_DIRECT_BLOCK = 2048  # rows per direct-distance block
 
 
-def _direct_d2(features: np.ndarray, c: np.ndarray,
-               rows: np.ndarray | None = None) -> np.ndarray:
+def _direct_d2(features: np.ndarray, cents: np.ndarray, rows: np.ndarray | None = None,
+               cols: np.ndarray | None = None) -> np.ndarray:
     """Direct float64 sum of (x - c)^2 for every row, or for ``features[rows]``.
 
-    Rows go through in fixed blocks, so the difference held at once stays
-    small; each row is summed exactly as over the whole matrix.
+    ``c`` is ``cents`` itself (one vector) for every row or, when ``cols`` is
+    given, ``cents[cols[i]]`` for the i-th row. Rows go through in fixed
+    blocks, so the difference held at once stays small; each row is summed
+    exactly as over the whole matrix.
     """
     n = features.shape[0] if rows is None else rows.shape[0]
     out = np.empty(n)
     for lo in range(0, n, _DIRECT_BLOCK):
         block = slice(lo, lo + _DIRECT_BLOCK)
-        diff = features[block if rows is None else rows[block]] - c
+        c = cents if cols is None else cents[cols[block]]
+        # a gathered c is a fresh copy, so the difference may overwrite it
+        diff = np.subtract(features[block if rows is None else rows[block]], c,
+                           out=None if cols is None else c)
         out[block] = np.square(diff, out=diff).sum(axis=1)
     return out
 
@@ -278,12 +282,16 @@ def kmeans_fit(features: np.ndarray, k: int, seed: int,
     history: list[float] = []
     iters = 0
     for _ in range(max_iters):
-        labels, d2 = _nearest(feats, centroids, threads)
+        labels = _nearest(feats, centroids, threads)
+        d2 = _direct_d2(feats, centroids, cols=labels)
         history.append(float(d2.sum()))
         iters += 1
 
+        # the additions of np.add.at(sums, labels, feats), in the same order
         sums = np.zeros((k, dim))
-        np.add.at(sums, labels, feats)
+        sum_rows = list(sums)  # views: each += adds into sums in place
+        for row, label in zip(feats, labels.tolist()):
+            sum_rows[label] += row
         counts = np.bincount(labels, minlength=k)
         new_centroids = centroids.copy()
         nonempty = counts > 0
@@ -291,19 +299,17 @@ def kmeans_fit(features: np.ndarray, k: int, seed: int,
 
         # reseed empty clusters from the points currently worst served
         empty = np.flatnonzero(~nonempty)
-        if empty.size:
-            d2_pick = d2.copy()
-            for j in empty:
-                far = int(d2_pick.argmax())
-                new_centroids[j] = feats[far]
-                d2_pick[far] = -np.inf
+        for j in empty:
+            far = int(d2.argmax())
+            new_centroids[j] = feats[far]
+            d2[far] = -np.inf
 
         movement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
         if movement < tol:
             break
 
-    _, d2 = _nearest(feats, centroids, threads)
+    d2 = _direct_d2(feats, centroids, cols=_nearest(feats, centroids, threads))
     history.append(float(d2.sum()))
     return Codebook(k=k, dim=dim, centroids=centroids.astype(np.float32),
                     seed=seed, iters_run=iters, inertia_history=tuple(history))
@@ -318,7 +324,7 @@ def assign_units(codebook: Codebook, features: np.ndarray, threads: int = 1) -> 
         return UnitSequence(vocab_size=codebook.k, units=())
     if feats.shape[1] != codebook.dim:
         raise QuantizeError(f"feature dim {feats.shape[1]} != codebook dim {codebook.dim}")
-    labels, _ = _nearest(feats, codebook.centroids, threads)
+    labels = _nearest(feats, codebook.centroids, threads)
     return UnitSequence(vocab_size=codebook.k, units=labels.tolist())
 
 

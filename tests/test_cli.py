@@ -134,6 +134,21 @@ class TestExitCodes:
                          "--temperature", "20"]) == 0
         assert (tmp_path / "dist.json").exists()
 
+    @pytest.mark.parametrize("given, missing", [
+        (["--schedule-out", "schedule.txt"], "--pools"),
+        (["--pools", "pools.tsv"], "--schedule-out"),
+    ])
+    def test_total_flags_checked_before_writing(self, workspace, tmp_path, monkeypatch,
+                                                capsys, given, missing):
+        monkeypatch.chdir(tmp_path)
+        extra = [str(workspace[a]) if a in workspace else a for a in given]
+        code = dispatch(["balance", "--counts", str(workspace["counts.tsv"]),
+                         "--temperature", "5", "--out", "dist.json", "--total", "10"] + extra)
+        assert code != 0
+        err = capsys.readouterr().err
+        assert f"--total requires {missing}" in err and "wrote" not in err
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "inputs"]
+
     def test_stdout_flag_prints_report(self, workspace, capsys):
         assert dispatch(["balance", "--counts", str(workspace["counts.tsv"]),
                          "--temperature", "20", "--stdout"]) == 0

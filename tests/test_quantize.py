@@ -140,7 +140,8 @@ class TestAssignUnits:
 
 
 def record_candidates(monkeypatch) -> list[np.ndarray]:
-    """Collect the per-row candidate counts the kernel hands to its direct recheck."""
+    """Collect the per-row candidate counts of the rows the kernel hands to
+    its direct recheck (rows with one candidate never reach it)."""
     seen: list[np.ndarray] = []
     direct = quantize._direct_argmin
 
@@ -187,9 +188,21 @@ class TestExactKernel:
         feats = rng.normal(size=(300, 32)).astype(np.float32)
         cb = Codebook(k=50, dim=32, centroids=cents, seed=0)
         assert list(assign_units(cb, feats).units) == oracle_assign(feats, cents)
+        # decided rows take no direct sum; only open ones reach the recheck
+        counts = np.concatenate(seen) if seen else np.zeros(0, dtype=int)
+        assert len(counts) < 0.05 * 300 and (counts >= 2).all()
+
+    def test_every_row_open_with_duplicate_centroids(self, rng, monkeypatch):
+        seen = record_candidates(monkeypatch)
+        base = rng.normal(size=(20, 32)).astype(np.float32)
+        cents = np.vstack([base, base[::-1]])
+        feats = rng.normal(size=(300, 32)).astype(np.float32)
+        cb = Codebook(k=40, dim=32, centroids=cents, seed=0)
+        got = list(assign_units(cb, feats).units)
+        assert got == oracle_assign(feats, cents)
+        assert max(got) < 20  # the lower copy of each centroid wins
         counts = np.concatenate(seen)
-        assert len(counts) == 300 and (counts >= 1).all()
-        assert (counts == 1).mean() > 0.95
+        assert len(counts) == 300 and (counts >= 2).all()
 
     def test_duplicate_centroids_lower_index_wins(self, rng):
         cents = rng.normal(size=(12, 16)).astype(np.float32)
@@ -206,7 +219,8 @@ class TestExactKernel:
         cents = (rng.normal(size=(40, 24)) * 5 + 300).astype(np.float32)
         cb = Codebook(k=40, dim=24, centroids=cents, seed=0)
         assert assign_units(cb, cents).units == tuple(range(40))
-        _, dists = quantize._nearest(cents, cents)
+        c64 = cents.astype(np.float64)
+        dists = quantize._direct_d2(c64, c64, cols=quantize._nearest(cents, cents))
         assert (dists == 0).all()
 
     def test_k_above_chunk_at_d768(self, rng):
@@ -218,10 +232,13 @@ class TestExactKernel:
         assert list(assign_units(cb, feats).units) == oracle_assign(feats, cents)
 
     def test_distances_are_the_direct_sum(self, rng):
-        cents = rng.normal(size=(30, 768)).astype(np.float32)
-        feats = (rng.normal(size=(260, 768)) + 1e3).astype(np.float32)
-        labels, dists = quantize._nearest(feats, cents)
-        expected = oracle_dists(feats, cents)[np.arange(260), labels]
+        # the fit's distances: each row to its chosen centroid, in blocks
+        n = quantize._DIRECT_BLOCK + 260
+        cents = rng.normal(size=(30, 768)).astype(np.float32).astype(np.float64)
+        feats = (rng.normal(size=(n, 768)) + 1e3).astype(np.float32).astype(np.float64)
+        labels = quantize._nearest(feats, cents)
+        dists = quantize._direct_d2(feats, cents, cols=labels)
+        expected = oracle_dists(feats, cents)[np.arange(n), labels]
         np.testing.assert_array_equal(dists, expected)
 
     def test_non_finite_and_huge_rows_match_argmin(self, rng):
@@ -241,7 +258,7 @@ class TestExactKernel:
         # float64 centroids as k-means holds them; squares underflow to zero
         cents = rng.normal(size=(8, 16)) * 1e-160
         feats = np.vstack([(cents[0] + cents[1]) / 2, cents[5], cents * 3])
-        labels, _ = quantize._nearest(feats, cents)
+        labels = quantize._nearest(feats, cents)
         assert list(labels) == oracle_assign(feats, cents)
 
     def test_kmeans_d768_thread_independent(self, rng):
@@ -381,6 +398,80 @@ class TestKMeansPlusPlusSeeding:
             m.setattr(quantize, "_direct_d2", spy)
             quantize._kmeanspp_init(feats, 15, np.random.default_rng(0))
         assert len(calls) == 15 and all(rows is None for rows in calls)
+
+
+def oracle_fit(features: np.ndarray, k: int, seed: int, max_iters: int,
+               tol: float) -> tuple[np.ndarray, tuple[float, ...], int, int]:
+    """Lloyd iterations with brute-force nearest and ``np.add.at`` sums.
+
+    Returns (float32 centroids, inertia history, iterations, reseeds).
+    """
+    n, dim = features.shape
+    rows = np.arange(n)
+
+    def nearest(cents):
+        d2 = oracle_dists(features, cents)
+        labels = d2.argmin(axis=1)
+        return labels, d2[rows, labels]
+
+    cents = quantize._kmeanspp_init(features, k, np.random.default_rng(seed))
+    history, iters, reseeds = [], 0, 0
+    for _ in range(max_iters):
+        labels, d2 = nearest(cents)
+        history.append(float(d2.sum()))
+        iters += 1
+        sums = np.zeros((k, dim))
+        np.add.at(sums, labels, features)
+        counts = np.bincount(labels, minlength=k)
+        new = cents.copy()
+        nonempty = counts > 0
+        new[nonempty] = sums[nonempty] / counts[nonempty, None]
+        for j in np.flatnonzero(~nonempty):
+            far = int(d2.argmax())
+            new[j] = features[far]
+            d2[far] = -np.inf
+            reseeds += 1
+        movement = float(np.sqrt(((new - cents) ** 2).sum(axis=1)).max())
+        cents = new
+        if movement < tol:
+            break
+    history.append(float(nearest(cents)[1].sum()))
+    return cents.astype(np.float32), tuple(history), iters, reseeds
+
+
+class TestLloydUpdate:
+    """The fit must equal Lloyd iterations with brute-force labels and np.add.at sums."""
+
+    def assert_fit_matches(self, feats: np.ndarray, k: int, max_iters: int = 8,
+                           tol: float = 1e-6) -> int:
+        want, history, iters, reseeds = oracle_fit(feats, k, 3, max_iters, tol)
+        for threads in (1, 8):
+            got = kmeans_fit(feats, k=k, seed=3, max_iters=max_iters, tol=tol, threads=threads)
+            assert got.centroids.tobytes() == want.tobytes(), f"threads {threads}"
+            assert got.inertia_history == history
+            assert got.iters_run == iters
+        return reseeds
+
+    def test_duplicate_rows_force_a_reseed(self, rng):
+        feats = np.tile(rng.normal(size=(6, 8)), (50, 1))
+        feats = feats[rng.permutation(len(feats))]
+        assert self.assert_fit_matches(feats, 10) > 0
+
+    def test_negative_zero_coordinates(self, rng):
+        # one cluster holds -0.0 in two coordinates of every row; a sum
+        # starting at +0.0 turns its centroid's coordinates into +0.0
+        feats = rng.normal(size=(300, 6)) + np.repeat([[0.0] * 6, [40.0] * 6, [-40.0] * 6],
+                                                      100, axis=0)
+        feats[:100, 2] = -0.0
+        feats[:100, 4] = -0.0
+        feats = feats[rng.permutation(len(feats))]
+        self.assert_fit_matches(feats, 3)
+        self.assert_fit_matches(feats, 9)
+
+    def test_rows_span_several_chunks(self, rng):
+        cents = rng.normal(size=(12, 24)) * 3
+        feats = cents[rng.integers(0, 12, 700)] + rng.normal(size=(700, 24))
+        self.assert_fit_matches(feats, 15, max_iters=6, tol=0)
 
 
 class TestUnitOps:
