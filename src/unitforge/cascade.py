@@ -27,17 +27,23 @@ import json
 import os
 import shlex
 import subprocess
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import compress, count
 from operator import ne
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .corpus import TSV_COLUMNS, Manifest, Utterance, get_field
-from .evalbleu import tokenize
+from .corpus import TSV_COLUMNS, Manifest, Utterance, get_field, set_field
+from .evalbleu import TOKENIZER_TAGS, tokenize
 from .fileio import write_file
 
-FILTER_KINDS = ("min_length", "code_switch")
+# each filter kind's params and their defaults; a param's type is its default's
+_FILTER_DEFAULTS: dict[str, dict[str, object]] = {
+    "min_length": {"field": "text", "min_chars": 3},
+    "code_switch": {"field": "asr_text", "ref_field": "text", "tokenizer": "char",
+                    "max_norm_dist": 0.5},
+}
+FILTER_KINDS = tuple(_FILTER_DEFAULTS)
 
 
 class CascadeError(ValueError):
@@ -200,28 +206,6 @@ def make_adapter(kind: str, name: str, endpoint: str,
     return Adapter(kind=kind, name=name, endpoint=endpoint, cache_dir=cache_dir)
 
 
-# --- record fields -----------------------------------------------------------
-
-def set_field(rec: Utterance, name: str, value: str) -> Utterance:
-    if name == "id":
-        return replace(rec, id=value)
-    if name == "lang":
-        return replace(rec, lang=value)
-    if name == "audio":
-        return replace(rec, audio_ref=value or None)
-    if name == "duration_s":
-        return replace(rec, duration_s=float(value) if value else None)
-    if name == "speaker":
-        return replace(rec, speaker=value or None)
-    if name == "text":
-        return replace(rec, text=value)
-    if name == "units":
-        return replace(rec, units=value.split() or None)
-    extra = dict(rec.extra)
-    extra[name] = value
-    return replace(rec, extra=extra)
-
-
 # --- pipeline spec -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -231,14 +215,48 @@ class StageSpec:
     out_field: str
 
 
+def _expect(value, kind: type | tuple[type, ...], what: str, name: str):
+    """``value`` if it is a ``kind``, else a :class:`CascadeError` naming ``what``."""
+    if not isinstance(value, kind):
+        raise CascadeError(f"{what} must be {name}, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class FilterSpec:
+    """A filter and its params, typed and checked when the spec is built.
+
+    Absent params take their defaults from ``_FILTER_DEFAULTS``; unknown keys,
+    values that do not convert and out-of-range values are rejected.
+    """
+
     kind: str
     params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in FILTER_KINDS:
             raise CascadeError(f"unknown filter kind {self.kind!r}; expected {FILTER_KINDS}")
+        given = _expect(self.params, Mapping, f"{self.kind} filter params", "an object")
+        defaults = _FILTER_DEFAULTS[self.kind]
+        unknown = [key for key in given if key not in defaults]
+        if unknown:
+            raise CascadeError(f"{self.kind} filter: unknown param(s) {unknown}; "
+                               f"expected {list(defaults)}")
+        params = {}
+        for key, default in defaults.items():
+            try:
+                params[key] = type(default)(given.get(key, default))
+            except (TypeError, ValueError):
+                raise CascadeError(f"{self.kind} filter: param {key!r} must be "
+                                   f"{type(default).__name__}, got {given[key]!r}") from None
+        if self.kind == "min_length":
+            _check_min_chars(params["min_chars"])
+        else:
+            _check_max_norm_dist(params["max_norm_dist"])
+            if params["tokenizer"] not in TOKENIZER_TAGS:
+                raise CascadeError(f"{self.kind} filter: unknown tokenizer "
+                                   f"{params['tokenizer']!r}; expected one of {TOKENIZER_TAGS}")
+        object.__setattr__(self, "params", params)
 
 
 @dataclass(frozen=True)
@@ -249,17 +267,30 @@ class PipelineSpec:
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "PipelineSpec":
+        _expect(obj, Mapping, "pipeline spec", "an object")
         stages = []
-        for i, stage in enumerate(obj.get("stages", ())):
+        for i, stage in enumerate(_expect(obj.get("stages", ()), (list, tuple),
+                                          "'stages'", "a list")):
+            _expect(stage, Mapping, f"stage {i}", "an object")
             try:
-                stages.append(StageSpec(adapter=stage["adapter"],
-                                        in_field=stage["in"], out_field=stage["out"]))
+                keys = [stage["adapter"], stage["in"], stage["out"]]
             except KeyError as exc:
                 raise CascadeError(f"stage {i}: missing key {exc}") from None
-        filters = [FilterSpec(kind=f["kind"], params=f.get("params", {}))
-                   for f in obj.get("filters", ())]
-        return cls(stages=tuple(stages), filters=tuple(filters),
-                   adapters=dict(obj.get("adapters", {})))
+            for key, value in zip(("adapter", "in", "out"), keys):
+                if not _expect(value, str, f"stage {i}: {key!r}", "a string"):
+                    raise CascadeError(f"stage {i}: {key!r} must be nonempty")
+            stages.append(StageSpec(*keys))
+        filters = []
+        for i, spec in enumerate(_expect(obj.get("filters", ()), (list, tuple),
+                                         "'filters'", "a list")):
+            _expect(spec, Mapping, f"filter {i}", "an object")
+            if "kind" not in spec:
+                raise CascadeError(f"filter {i}: missing key 'kind'")
+            filters.append(FilterSpec(kind=spec["kind"], params=spec.get("params", {})))
+        adapters = dict(_expect(obj.get("adapters", {}), Mapping, "'adapters'", "an object"))
+        for name, endpoint in adapters.items():
+            _expect(endpoint, str, f"adapter {name!r}", "a string")
+        return cls(stages=tuple(stages), filters=tuple(filters), adapters=adapters)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "PipelineSpec":
@@ -317,12 +348,21 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
     return dist
 
 
+def _check_max_norm_dist(max_norm_dist: float) -> None:
+    if not 0.0 <= max_norm_dist <= 1.0:
+        raise CascadeError(f"max_norm_dist must be in [0, 1], got {max_norm_dist}")
+
+
+def _check_min_chars(min_chars: int) -> None:
+    if min_chars < 0:
+        raise CascadeError(f"min_chars must be >= 0, got {min_chars}")
+
+
 def filter_code_switch(asr_text: str, subtitle: str, tokenizer: str = "char",
                        max_norm_dist: float = 0.5) -> bool:
     """Keep iff the normalized edit distance between ASR output and the
     subtitle stays within ``max_norm_dist`` (distance over subtitle length)."""
-    if not 0.0 <= max_norm_dist <= 1.0:
-        raise CascadeError(f"max_norm_dist must be in [0, 1], got {max_norm_dist}")
+    _check_max_norm_dist(max_norm_dist)
     asr_tokens = tokenize(asr_text, tokenizer)
     sub_tokens = tokenize(subtitle, tokenizer)
     dist = levenshtein(asr_tokens, sub_tokens)
@@ -331,24 +371,18 @@ def filter_code_switch(asr_text: str, subtitle: str, tokenizer: str = "char",
 
 def filter_min_length(text: str, min_chars: int) -> bool:
     """Keep iff the text has at least ``min_chars`` non-whitespace characters."""
-    if min_chars < 0:
-        raise CascadeError(f"min_chars must be >= 0, got {min_chars}")
+    _check_min_chars(min_chars)
     # str.split() splits on exactly the characters str.isspace() accepts
     return sum(map(len, text.split())) >= min_chars
 
 
 def _apply_filter(spec: FilterSpec, rec: Utterance) -> bool:
-    params = dict(spec.params)
+    params = spec.params
     if spec.kind == "min_length":
-        return filter_min_length(
-            get_field(rec, str(params.get("field", "text"))),
-            int(params.get("min_chars", 3)))
-    asr_field = str(params.get("field", "asr_text"))
-    ref_field = str(params.get("ref_field", "text"))
+        return filter_min_length(get_field(rec, params["field"]), params["min_chars"])
     return filter_code_switch(
-        get_field(rec, asr_field), get_field(rec, ref_field),
-        tokenizer=str(params.get("tokenizer", "char")),
-        max_norm_dist=float(params.get("max_norm_dist", 0.5)))
+        get_field(rec, params["field"]), get_field(rec, params["ref_field"]),
+        tokenizer=params["tokenizer"], max_norm_dist=params["max_norm_dist"])
 
 
 # --- orchestration -----------------------------------------------------------

@@ -16,6 +16,7 @@ Unknown columns (TSV) or keys (JSONL) are preserved per record in
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -57,12 +58,16 @@ class Utterance:
         if not self.id:
             raise ManifestError("utterance id must be nonempty")
         if self.duration_s is not None:
-            d = float(self.duration_s)
-            if not math.isfinite(d) or d < 0:
-                raise ManifestError(f"duration_s must be finite and >= 0, got {self.duration_s!r}")
-            object.__setattr__(self, "duration_s", d)
+            object.__setattr__(self, "duration_s", _check_duration(self.duration_s))
         if self.units is not None:
             object.__setattr__(self, "units", tuple(map(int, self.units)))
+
+
+def _check_duration(value) -> float:
+    d = float(value)
+    if not math.isfinite(d) or d < 0:
+        raise ManifestError(f"duration_s must be finite and >= 0, got {value!r}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -123,13 +128,6 @@ def _infer_format(path: Path, fmt: str | None) -> str:
     raise ManifestError(f"cannot infer manifest format from {path.name!r}; pass format explicitly")
 
 
-def _parse_units(text: str, line: int) -> tuple[int, ...]:
-    try:
-        return tuple(map(int, text.split()))
-    except ValueError:
-        raise ManifestError(f"unparsable units field {text!r}", line) from None
-
-
 def _parse_duration(text: str, line: int) -> float:
     try:
         value = float(text)
@@ -178,6 +176,7 @@ def _read_tsv(path: Path) -> Manifest:
         seen.add(rec_id)
 
         duration = row.pop("duration_s", "")
+        duration = _parse_duration(duration, lineno) if duration else None
         units = row.pop("units", "")
         known = {
             "lang": row.pop("lang", ""),
@@ -186,13 +185,13 @@ def _read_tsv(path: Path) -> Manifest:
             "text": row.pop("text", "") or None,
         }
         extra = {k: v for k, v in row.items() if v != ""}
-        records.append(Utterance(
-            id=rec_id,
-            duration_s=_parse_duration(duration, lineno) if duration else None,
-            units=_parse_units(units, lineno) if units else None,
-            extra=extra,
-            **known,
-        ))
+        try:
+            records.append(Utterance(id=rec_id, duration_s=duration,
+                                     units=units.split() if units else None,
+                                     extra=extra, **known))
+        except ValueError:
+            # id and duration are checked above, so only a unit can fail here
+            raise ManifestError(f"unparsable units field {units!r}", lineno) from None
     return Manifest(records=tuple(records))
 
 
@@ -228,6 +227,9 @@ def _read_jsonl(path: Path) -> Manifest:
                         isinstance(u, int) and not isinstance(u, bool) for u in units):
                     raise ManifestError("units must be a list of integers", lineno)
                 units = tuple(units)
+            for key in ("lang", "audio", "speaker", "text"):
+                if not isinstance(obj.get(key), (str, type(None))):
+                    raise ManifestError(f"{key!r} must be a string or null", lineno)
 
             extra = {}
             for key in sorted(k for k in obj if k not in ("lang", "audio", "speaker", "text")):
@@ -288,6 +290,26 @@ def get_field(rec: Utterance, name: str) -> str:
     if name == "units":
         return " ".join(map(str, rec.units)) if rec.units else ""
     return rec.extra.get(name, "")
+
+
+def set_field(rec: Utterance, name: str, value: str) -> Utterance:
+    """A copy of ``rec`` with field ``name`` read from its TSV text; the
+    inverse of :func:`get_field`. Only that field is converted and checked;
+    the copy shares every other field with ``rec``."""
+    if name == "id":
+        if not value:
+            raise ManifestError("utterance id must be nonempty")
+    elif name in ("audio", "speaker"):
+        value = value or None
+    elif name == "duration_s":
+        value = _check_duration(value) if value else None
+    elif name == "units":
+        value = tuple(map(int, value.split())) or None
+    elif name not in ("lang", "text"):
+        name, value = "extra", {**rec.extra, name: value}
+    new = copy.copy(rec)
+    object.__setattr__(new, "audio_ref" if name == "audio" else name, value)
+    return new
 
 
 def _write_tsv(manifest: Manifest, path: Path) -> None:

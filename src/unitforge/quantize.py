@@ -377,7 +377,10 @@ def read_codebook(path: str | Path) -> Codebook:
     iters_run = None
     final_inertia = None
     if meta_path.exists():
-        meta = json.loads(meta_path.read_text(encoding="utf-8").splitlines()[0])
+        lines = meta_path.read_text(encoding="utf-8").splitlines()
+        if not lines:
+            raise QuantizeError(f"codebook sidecar {meta_path} is empty")
+        meta = json.loads(lines[0])
         if meta.get("k") != matrix.rows or meta.get("dim") != matrix.dim:
             raise QuantizeError(
                 f"sidecar k/dim {meta.get('k')}x{meta.get('dim')} does not match "

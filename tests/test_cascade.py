@@ -15,7 +15,8 @@ from unitforge.cascade import (
     filter_code_switch, filter_min_length, get_field, levenshtein,
     make_adapter, run_cascade, set_field,
 )
-from unitforge.corpus import Manifest, Utterance
+from unitforge import corpus
+from unitforge.corpus import TSV_COLUMNS, Manifest, ManifestError, Utterance
 from unitforge.evalbleu import BleuError
 
 
@@ -434,6 +435,9 @@ class TestRunCascade:
         assert [r.text for r in out] == ["second", "third"]
         assert report.duplicate_id_drops == 2
         assert report.to_dict()["duplicate_id_drops"] == 2
+        # an empty id is a ManifestError, not a duplicate
+        with pytest.raises(ManifestError, match="nonempty"):
+            set_field(src.records[0], "id", "")
         assert report.filter_drops == {"0:min_length": 1}
         assert (report.output_count + report.adapter_error_drops + report.field_parse_drops
                 + report.duplicate_id_drops + sum(report.filter_drops.values())) \
@@ -451,6 +455,27 @@ class TestRunCascade:
         assert set_field(Utterance(id="a"), "units", " ").units is None
         assert get_field(Utterance(id="a", units=(7, 0, 12)), "units") == "7 0 12"
         assert get_field(Utterance(id="a", units=()), "units") == ""
+        # set_field is corpus's inverse of get_field, for every column
+        assert set_field is corpus.set_field
+        gen = random.Random(11)
+        for i in range(40):
+            rec = Utterance(
+                id=f"r{i}", lang=gen.choice(["", "en", "hok"]),
+                audio_ref=gen.choice([None, f"wav/{i}.wav"]),
+                duration_s=gen.choice([None, 0.0, 1e-7, gen.uniform(0, 30)]),
+                speaker=gen.choice([None, "s1"]), text=gen.choice([None, "", "hi there"]),
+                units=gen.choice([None, tuple(gen.randrange(2500)
+                                              for _ in range(gen.randint(1, 9)))]),
+                extra=gen.choice([{}, {"zh": "你好"}, {"zh": ""}]))
+            for name in TSV_COLUMNS + ("zh",):
+                new = set_field(rec, name, get_field(rec, name))
+                for other in TSV_COLUMNS + ("zh",):
+                    assert get_field(new, other) == get_field(rec, other)
+        assert set_field(Utterance(id="a", text="x"), "text", "").text == ""
+        assert set_field(Utterance(id="a"), "zh", "").extra == {"zh": ""}
+        for name in ("audio", "speaker", "duration_s"):
+            assert get_field(set_field(Utterance(id="a"), name, ""), name) == ""
+        assert set_field(Utterance(id="a", audio_ref="x"), "audio", "").audio_ref is None
 
     def test_unparsable_duration_dropped(self):
         spec = PipelineSpec.from_dict({
@@ -548,6 +573,54 @@ class TestPipelineSpecIO:
     def test_unknown_filter_kind(self):
         with pytest.raises(CascadeError, match="filter kind"):
             PipelineSpec.from_dict({"filters": [{"kind": "nope"}]})
+
+    @pytest.mark.parametrize("obj", [
+        [],
+        {"filters": [{"params": {"min_chars": 1}}]},
+        {"filters": [{"kind": "min_length", "params": 5}]},
+        {"filters": [{"kind": "min_length", "params": None}]},
+        {"filters": 5},
+        {"filters": [1]},
+        {"stages": [1]},
+        {"stages": 5},
+        {"stages": [{"adapter": "a", "in": "text", "out": 5}]},
+        {"stages": [{"adapter": "a", "in": "text", "out": ""}]},
+        {"adapters": [1]},
+        {"adapters": {"a": 5}},
+    ])
+    def test_malformed_spec_is_cascade_error(self, obj):
+        with pytest.raises(CascadeError):
+            PipelineSpec.from_dict(obj)
+
+    def test_filter_params_typed_with_defaults(self):
+        spec = PipelineSpec.from_dict({"filters": [
+            {"kind": "min_length"},
+            {"kind": "code_switch", "params": {"max_norm_dist": "0.25", "tokenizer": "word13a"}},
+            {"kind": "min_length", "params": {"field": "zh", "min_chars": 7.0}},
+        ]})
+        assert [f.params for f in spec.filters] == [
+            {"field": "text", "min_chars": 3},
+            {"field": "asr_text", "ref_field": "text", "tokenizer": "word13a",
+             "max_norm_dist": 0.25},
+            {"field": "zh", "min_chars": 7},
+        ]
+
+    def test_unknown_filter_param_rejected(self):
+        with pytest.raises(CascadeError, match="unknown param.*'min_char'"):
+            PipelineSpec.from_dict(
+                {"filters": [{"kind": "min_length", "params": {"min_char": 50}}]})
+
+    @pytest.mark.parametrize("kind, params, match", [
+        ("code_switch", {"max_norm_dist": 7}, "max_norm_dist"),
+        ("code_switch", {"max_norm_dist": "x"}, "max_norm_dist"),
+        ("code_switch", {"tokenizer": "nope"}, "unknown tokenizer"),
+        ("min_length", {"min_chars": -1}, "min_chars"),
+        ("min_length", {"min_chars": "3.5"}, "min_chars"),
+    ])
+    def test_bad_filter_value_rejected_on_empty_manifest(self, kind, params, match):
+        with pytest.raises(CascadeError, match=match):
+            spec = PipelineSpec.from_dict({"filters": [{"kind": kind, "params": params}]})
+            run_cascade(Manifest(), spec, {})
 
     def test_missing_stage_key(self):
         with pytest.raises(CascadeError, match="stage 0"):

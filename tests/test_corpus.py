@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from unitforge.corpus import (
     Manifest, ManifestError, Segment, Utterance,
-    manifest_stats, read_manifest, write_manifest,
+    get_field, manifest_stats, read_manifest, set_field, write_manifest,
 )
 
 
@@ -32,6 +32,18 @@ class TestTypes:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ManifestError, match="duplicate"):
             Manifest(records=(u(1), u(1)))
+
+    def test_set_field_shares_unwritten_fields(self):
+        rec = Utterance(id="a", text="hi", units=tuple(range(500)), extra={"zh": "你好"})
+        for name in ("id", "lang", "audio", "duration_s", "speaker", "text"):
+            new = set_field(rec, name, "7")
+            assert new.units is rec.units and new.extra is rec.extra
+            assert get_field(new, name) == ("7.0" if name == "duration_s" else "7")
+        new = set_field(rec, "mt", "")
+        assert new.units is rec.units and new.extra == {"zh": "你好", "mt": ""}
+        assert rec.extra == {"zh": "你好"}
+        new = set_field(rec, "units", "4 5")
+        assert new.extra is rec.extra and new.units == (4, 5) and rec.units == tuple(range(500))
 
     def test_segment_bounds(self):
         Segment("a", 0.0, 1.0)
@@ -90,6 +102,15 @@ class TestReadTsv:
             assert str(info.value) == f"line 3: unparsable units field {bad!r}"
             assert info.value.line == 3
 
+    def test_whitespace_units_read_as_empty(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("id\tlang\taudio\tduration_s\tspeaker\ttext\tunits\n"
+                        "u1\ten\t\t\t\t\t \u3000 \n")
+        m = read_manifest(path)
+        assert m.records[0].units == ()
+        write_manifest(m, tmp_path / "m.jsonl")
+        assert (tmp_path / "m.jsonl").read_text() == '{"id": "u1", "lang": "en", "units": []}\n'
+
     def test_unknown_columns_preserved(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text("id\tlang\taudio\tduration_s\tspeaker\ttext\tunits\tzh\n"
@@ -123,6 +144,17 @@ class TestReadJsonl:
         m = read_manifest(path)
         assert m.records[0].text == ""
         assert m.records[1].text is None
+
+    @pytest.mark.parametrize("field", ["lang", "audio", "speaker", "text"])
+    @pytest.mark.parametrize("value", ["5", "true", "1.5", '["x"]', '{"a": "b"}'])
+    def test_string_fields_must_be_strings(self, tmp_path, field, value):
+        path = tmp_path / "m.jsonl"
+        path.write_text(f'{{"id":"a","{field}":"ok"}}\n{{"id":"b","{field}":{value}}}\n')
+        with pytest.raises(ManifestError) as info:
+            read_manifest(path)
+        assert str(info.value) == f"line 2: {field!r} must be a string or null"
+        path.write_text(f'{{"id":"a","{field}":null}}\n')
+        assert get_field(read_manifest(path).records[0], field) == ""
 
     def test_boolean_duration_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"

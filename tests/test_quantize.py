@@ -559,3 +559,10 @@ class TestCodebookIO:
         assert loaded.k == 4 and loaded.dim == 3 and loaded.seed == 5
         assert loaded.iters_run == cb.iters_run
         assert loaded.final_inertia == pytest.approx(cb.final_inertia)
+
+    def test_empty_sidecar_names_it(self, rng, tmp_path):
+        path = tmp_path / "codebook.emb"
+        write_codebook(kmeans_fit(rng.normal(size=(30, 3)), k=4, seed=5), path)
+        (tmp_path / "codebook.emb.meta.jsonl").write_text("")
+        with pytest.raises(QuantizeError, match=r"codebook\.emb\.meta\.jsonl is empty"):
+            read_codebook(path)
