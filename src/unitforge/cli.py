@@ -170,7 +170,7 @@ def _cmd_mine_simsearch_eval(args) -> int:
     audio = _load_side(args.audio, not args.no_normalize)
     text = _load_side(args.text, not args.no_normalize)
     gold = _read_gold_tsv(args.gold)
-    rate = mine.simsearch_error_rate(audio, text, gold, k_nn=args.knn)
+    rate = mine.simsearch_error_rate(audio, text, gold, k_nn=args.knn, threads=args.threads)
     report = {
         "total": audio.rows,
         "errors": round(rate * audio.rows),

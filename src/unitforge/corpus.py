@@ -16,7 +16,6 @@ Unknown columns (TSV) or keys (JSONL) are preserved per record in
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -307,7 +306,8 @@ def set_field(rec: Utterance, name: str, value: str) -> Utterance:
         value = tuple(map(int, value.split())) or None
     elif name not in ("lang", "text"):
         name, value = "extra", {**rec.extra, name: value}
-    new = copy.copy(rec)
+    new = object.__new__(type(rec))
+    new.__dict__.update(rec.__dict__)
     object.__setattr__(new, "audio_ref" if name == "audio" else name, value)
     return new
 

@@ -1,9 +1,15 @@
 """Parallel-data mining: exact kNN, margin scoring, thresholding, overlap filtering.
 
 Search is exact and streamed: ``_cosine_top_k`` walks 256-row source
-chunks and keeps only the top-k cosines per source row and per target
-column. Besides float64 copies of the inputs it needs
-O((n_src + n_tgt)·k + 256·n_tgt) memory. Margin scoring is the ratio
+chunks and keeps only the top cosines per source row and per target
+column, each at its own width: k and none for ``knn``, k and k for
+``mine_pairs``, and for ``simsearch_error_rate`` a row shortlist of
+max(k, 32) and k. Besides float64 copies of the inputs,
+``simsearch_error_rate`` needs O(n_src·max(k, 32) + n_tgt·k + 256·n_tgt)
+memory, the others O((n_src + n_tgt)·k + 256·n_tgt). It takes each row's
+margin argmax from the shortlist where a rounding-safe bound rules out
+every other target, and runs a second cosine product only over the rows
+it leaves undecided. Margin scoring is the ratio
 
     score(x, y) = cos(x, y) / ((mean cos of x's k neighbors
                                 + mean cos of y's k neighbors) / 2)
@@ -104,21 +110,22 @@ _MERGE_CHUNKS = 16  # chunks per merge of the column top-k; bounds the results h
 
 
 def _cosine_top_k(a: np.ndarray, a_norms: np.ndarray, b: np.ndarray, b_norms: np.ndarray,
-                  k: int, threads: int = 1, columns: bool = True):
+                  k_rows: int, k_cols: int, threads: int = 1):
     """Exact cosine top-k over ``rows_with_norms`` output, one 256-row chunk of ``a``
-    at a time. Returns the row top-k as (n, k) indices and cosines and, with
-    ``columns``, the column top-k as (k, m) ones; ties go to the lower index."""
-    rows, row_cos = np.empty((len(a), k), dtype=np.int64), np.empty((len(a), k))
+    at a time. Returns the row top-``k_rows`` as (n, k_rows) indices and cosines and
+    the column top-``k_cols`` as (k_cols, m) ones (none for ``k_cols=0``); ties go to
+    the lower index."""
+    rows, row_cos = np.empty((len(a), k_rows), dtype=np.int64), np.empty((len(a), k_rows))
     cols, col_cos = np.empty((0, len(b)), dtype=np.int64), np.empty((0, len(b)))
 
     def one_chunk(bounds: tuple[int, int]):
         lo, hi = bounds
         sims = cosine_block(a[lo:hi], a_norms[lo:hi], b, b_norms)
-        rows[lo:hi] = _top_k(sims, k)  # chunks write disjoint rows
+        rows[lo:hi] = _top_k(sims, k_rows)  # chunks write disjoint rows
         row_cos[lo:hi] = np.take_along_axis(sims, rows[lo:hi], axis=1)
-        if not columns:  # no column candidates: the merge below keeps (0, m) arrays
+        if not k_cols:  # no column candidates: the merge below keeps (0, m) arrays
             return np.empty((0, len(b)), dtype=np.int64), sims[:0]
-        c = _top_k(sims.T, min(k, hi - lo)).T
+        c = _top_k(sims.T, min(k_cols, hi - lo)).T
         return c + lo, np.take_along_axis(sims, c, axis=0)
 
     chunks = chunk_ranges(len(a))
@@ -126,7 +133,7 @@ def _cosine_top_k(a: np.ndarray, a_norms: np.ndarray, b: np.ndarray, b_norms: np
         for c, cc in map_chunks(one_chunk, chunks[start:start + _MERGE_CHUNKS], threads):
             # earlier chunks hold lower rows, so the stable sort keeps them first on ties
             merged = np.vstack([col_cos, cc])
-            keep = np.argsort(-merged, axis=0, kind="stable")[:k]
+            keep = np.argsort(-merged, axis=0, kind="stable")[:k_cols]
             cols = np.take_along_axis(np.vstack([cols, c]), keep, axis=0)
             col_cos = np.take_along_axis(merged, keep, axis=0)
     return rows, row_cos, cols, col_cos
@@ -143,7 +150,7 @@ def knn(queries: EmbeddingMatrix, database: EmbeddingMatrix, k_nn: int,
         raise MiningError(f"dimension mismatch: {queries.dim} vs {database.dim}")
     k = min(k_nn, database.rows)
     rows, cos, _, _ = _cosine_top_k(*rows_with_norms(queries.data),
-                                    *rows_with_norms(database.data), k, threads, columns=False)
+                                    *rows_with_norms(database.data), k, 0, threads)
     return [NeighborList(query_index=i, neighbors=tuple(zip(js, cs)))
             for i, (js, cs) in enumerate(zip(rows.tolist(), cos.tolist()))]
 
@@ -213,7 +220,7 @@ def mine_pairs(src: EmbeddingMatrix, tgt: EmbeddingMatrix, k_nn: int = 4,
 
     k = min(k_nn, src.rows, tgt.rows)
     rows, row_cos, cols, col_cos = _cosine_top_k(*rows_with_norms(src.data),
-                                                 *rows_with_norms(tgt.data), k, threads)
+                                                 *rows_with_norms(tgt.data), k, k, threads)
     row_mean, col_mean = _means(row_cos, col_cos, margin)
     fwd, fwd_best = _argmax(rows, _margins(
         row_cos, row_mean[:, None], col_mean[rows], margin), axis=1)
@@ -322,8 +329,11 @@ def filter_overlap(pairs: Sequence[MinedPair], max_overlap: float,
     return kept
 
 
+_SHORTLIST = 32  # least row width of simsearch_error_rate's first pass
+
+
 def simsearch_error_rate(audio_emb: EmbeddingMatrix, text_emb: EmbeddingMatrix,
-                         gold: Mapping[str, str], k_nn: int = 4) -> float:
+                         gold: Mapping[str, str], k_nn: int = 4, threads: int = 1) -> float:
     """Fraction of audio rows whose margin-argmax text differs from gold.
 
     The ratio margin uses ``k_nn``-neighbor means, but unlike
@@ -331,6 +341,16 @@ def simsearch_error_rate(audio_emb: EmbeddingMatrix, text_emb: EmbeddingMatrix,
     row's ``k_nn`` cosine neighbors (first index on ties). Both matrices
     must carry ids; every audio id needs a gold text id present in
     ``text_emb``.
+
+    One cosine pass keeps each row's top L = min(max(32, k), n_text)
+    cosines, whose first k give the row means. A text outside that
+    shortlist has a cosine at most the L-th one, ``kth``; every
+    denominator is positive and rounding is monotone, so its margin is at
+    most ``kth / ((row_mean + c) / 2)``, with c the least column mean for
+    ``kth >= 0`` and the greatest otherwise. A row whose best shortlist
+    margin is strictly above that bound takes its argmax from the
+    shortlist. The other rows, ties at the bound included, get a second
+    cosine product over all texts.
     """
     if audio_emb.ids is None or text_emb.ids is None:
         raise MiningError("simsearch evaluation needs ids on both matrices")
@@ -344,17 +364,26 @@ def simsearch_error_rate(audio_emb: EmbeddingMatrix, text_emb: EmbeddingMatrix,
         raise MiningError("no audio rows to evaluate")
 
     k = min(k_nn, audio_emb.rows, text_emb.rows)
+    width = min(max(_SHORTLIST, k), text_emb.rows)
     a, a_norms = rows_with_norms(audio_emb.data)
     b, b_norms = rows_with_norms(text_emb.data)
-    _, row_cos, _, col_cos = _cosine_top_k(a, a_norms, b, b_norms, k)
-    row_mean, col_mean = _means(row_cos, col_cos, Margin.RATIO)
+    rows, row_cos, _, col_cos = _cosine_top_k(a, a_norms, b, b_norms, width, k, threads)
+    row_mean, col_mean = _means(row_cos[:, :k], col_cos, Margin.RATIO)
+    predictions, best = _argmax(rows, _margins(
+        row_cos, row_mean[:, None], col_mean[rows], Margin.RATIO), axis=1)
+    if width < text_emb.rows:
+        kth = row_cos[:, -1]
+        c = np.where(kth >= 0.0, col_mean.min(), col_mean.max())
+        undecided = np.flatnonzero(~(best > _margins(kth, row_mean, c, Margin.RATIO)))
 
-    def predict(bounds: tuple[int, int]) -> np.ndarray:
-        lo, hi = bounds
-        sims = cosine_block(a[lo:hi], a_norms[lo:hi], b, b_norms)
-        return _margins(sims, row_mean[lo:hi, None], col_mean, Margin.RATIO).argmax(axis=1)
+        def recheck(bounds: tuple[int, int]) -> np.ndarray:
+            at = undecided[bounds[0]:bounds[1]]
+            sims = cosine_block(a[at], a_norms[at], b, b_norms)
+            return _margins(sims, row_mean[at, None], col_mean, Margin.RATIO).argmax(axis=1)
 
-    predictions = np.concatenate(map_chunks(predict, chunk_ranges(audio_emb.rows)))
+        if len(undecided):
+            predictions[undecided] = np.concatenate(
+                map_chunks(recheck, chunk_ranges(len(undecided)), threads))
     errors = sum(
         1 for i, aid in enumerate(audio_emb.ids)
         if text_emb.ids[int(predictions[i])] != gold[aid])

@@ -381,6 +381,8 @@ def read_codebook(path: str | Path) -> Codebook:
         if not lines:
             raise QuantizeError(f"codebook sidecar {meta_path} is empty")
         meta = json.loads(lines[0])
+        if not isinstance(meta, dict):
+            raise QuantizeError(f"codebook sidecar {meta_path} does not hold a JSON object")
         if meta.get("k") != matrix.rows or meta.get("dim") != matrix.dim:
             raise QuantizeError(
                 f"sidecar k/dim {meta.get('k')}x{meta.get('dim')} does not match "

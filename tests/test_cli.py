@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import build_cli_workspace, cli_command_matrix
+from unitforge import mine
 from unitforge.cli import dispatch
 
 
@@ -261,6 +262,21 @@ class TestCommonFlags:
         assert dispatch(["mine", "--threads", "2", "--src", str(workspace["src.emb"]),
                          "--tgt", str(workspace["tgt.emb"]),
                          "--out", str(tmp_path / "pairs.tsv")]) == 0
+
+    def test_simsearch_eval_forwards_threads(self, workspace, tmp_path, monkeypatch):
+        seen = []
+        real = mine.simsearch_error_rate
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("threads"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mine, "simsearch_error_rate", spy)
+        assert dispatch(["mine", "simsearch-eval", "--audio", str(workspace["audio.emb"]),
+                         "--text", str(workspace["text.emb"]),
+                         "--gold", str(workspace["gold.tsv"]),
+                         "--out", str(tmp_path / "sim.json"), "--threads", "3"]) == 0
+        assert seen == [3]
 
 
 class TestCtcCollapse:

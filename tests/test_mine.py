@@ -10,6 +10,7 @@ import pytest
 from conftest import make_matrix, random_matrix
 from unitforge import mine
 from unitforge.corpus import Segment
+from unitforge.embed import EmbeddingMatrix, cosine_block
 from unitforge.mine import (
     Direction, Margin, MinedPair, MiningError, NeighborList,
     filter_overlap, knn, margin_score, mine_pairs,
@@ -602,6 +603,141 @@ class TestSimsearch:
         del gold["a4"]
         with pytest.raises(MiningError, match="a4"):
             simsearch_error_rate(audio, text, gold)
+
+
+def integer_cosines(src: EmbeddingMatrix, tgt: EmbeddingMatrix) -> np.ndarray:
+    """The cosine table of integer-valued rows. Every dot product and squared
+    norm is an exact integer, so these cosines are bit-equal to the library's
+    in any summation order or BLAS blocking."""
+    a, b = src.data.astype(np.float64), tgt.data.astype(np.float64)
+    norms = np.outer(np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
+    return np.clip((a @ b.T) / norms, -1.0, 1.0)
+
+
+def oracle_simsearch(sims: np.ndarray, k: int):
+    """Per source row, the ratio-margin argmax over every target (first index
+    on ties), from the full cosine table; also the neighbor means."""
+    row_mean = np.array([sum(sorted(row, reverse=True)[:k]) / k for row in sims])
+    col_mean = np.array([sum(sorted(col, reverse=True)[:k]) / k for col in sims.T])
+    scores = sims / ((row_mean[:, None] + col_mean[None, :]) / 2.0)
+    return scores.argmax(axis=1), row_mean, col_mean
+
+
+def oracle_undecided(sims: np.ndarray, k: int) -> list[int]:
+    """Rows whose best margin among their top-L cosines, L = min(max(32, k),
+    n_tgt), is not strictly above the bound on every target outside them."""
+    _, row_mean, col_mean = oracle_simsearch(sims, k)
+    width = min(max(mine._SHORTLIST, k), sims.shape[1])
+    if width == sims.shape[1]:
+        return []
+    undecided = []
+    for i, row in enumerate(sims):
+        short = sorted(range(len(row)), key=lambda j: (-row[j], j))[:width]
+        best = max(row[j] / ((row_mean[i] + col_mean[j]) / 2.0) for j in short)
+        kth = row[short[-1]]
+        c = col_mean.min() if kth >= 0.0 else col_mean.max()
+        if not best > kth / ((row_mean[i] + c) / 2.0):
+            undecided.append(i)
+    return undecided
+
+
+def with_oracle_gold(src_rows, tgt_rows, k: int = 4):
+    """Matrices with ids, and the gold map that names each source row's
+    brute-force prediction, so that an error rate of 0.0 checks every row."""
+    src = make_matrix(src_rows, ids=tuple(f"s{i}" for i in range(len(src_rows))))
+    tgt = make_matrix(tgt_rows, ids=tuple(f"t{j}" for j in range(len(tgt_rows))))
+    pred, _, _ = oracle_simsearch(integer_cosines(src, tgt), k)
+    gold = {sid: tgt.ids[int(j)] for sid, j in zip(src.ids, pred)}
+    return src, tgt, gold
+
+
+def gaussian_fixture(n_tgt: int):
+    gen = np.random.default_rng(n_tgt)
+    return with_oracle_gold(np.rint(gen.normal(size=(300, 16)) * 8),
+                            np.rint(gen.normal(size=(n_tgt, 16)) * 8))
+
+
+def clustered_fixture():
+    """40 well-separated clusters of 10 targets; each source row sits in one."""
+    gen = np.random.default_rng(7)
+    centers = np.rint(gen.normal(size=(40, 16)) * 8)
+    tgt = np.repeat(centers, 10, axis=0) + gen.integers(-1, 2, size=(400, 16))
+    src = centers[gen.integers(0, 40, size=300)] + gen.integers(-1, 2, size=(300, 16))
+    return with_oracle_gold(src, tgt)
+
+
+def duplicate_fixture():
+    """40 copies of one target among 60 others. Each other target has four
+    exact copies among the sources, so its column mean is about 1.0, and the
+    copies' column mean, from 20 source rows near them, is the least. A row
+    near the copies has only copies in its shortlist, so its best margin
+    equals the bound and it must be rechecked."""
+    gen = np.random.default_rng(11)
+    dup = np.rint(gen.normal(size=16) * 8)
+    others = np.rint(gen.normal(size=(60, 16)) * 8)
+    tgt = np.vstack([others[:30], np.tile(dup, (40, 1)), others[30:]])
+    near = dup + gen.integers(-1, 2, size=(20, 16))
+    src = np.vstack([np.repeat(others, 4, axis=0), near,
+                     np.rint(gen.normal(size=(40, 16)) * 8)])
+    return with_oracle_gold(src[gen.permutation(len(src))], tgt)
+
+
+def negative_kth_fixture():
+    """Every row's 32nd cosine but the near rows' is at most 0, and the last
+    source row's is negative. Its 32 best cosines go to targets of column mean
+    about 0.68, and four targets just outside them have column mean 1.0, so
+    one of those wins its margin argmax. Only the greatest column mean bounds
+    them: with the least one, the row would wrongly count as decided."""
+    e = np.eye(5)
+    tgt = np.array([10 * e[1] + (j % 4) * e[2] for j in range(32)] + [10 * e[0]] * 4)
+    src = np.array([10 * e[0]] * 4 + [7 * e[1] + 7 * e[3]] * 4 + [[-6, -5, 0, 0, 6]])
+    return with_oracle_gold(src, tgt)
+
+
+class TestSimsearchShortlist:
+    """The argmax comes from each row's top-L cosines wherever the bound
+    decides it; gold is the brute-force prediction, so rate 0.0 checks every row."""
+
+    @pytest.mark.parametrize("threads", [1, 8])
+    @pytest.mark.parametrize("n_tgt", [mine._SHORTLIST - 1, mine._SHORTLIST,
+                                       mine._SHORTLIST + 1, 400])
+    def test_gaussian_matches_brute_force(self, n_tgt, threads):
+        src, tgt, gold = gaussian_fixture(n_tgt)
+        assert simsearch_error_rate(src, tgt, gold, k_nn=4, threads=threads) == 0.0
+
+    @pytest.mark.parametrize("threads", [1, 8])
+    @pytest.mark.parametrize("fixture", [clustered_fixture, duplicate_fixture,
+                                         negative_kth_fixture])
+    def test_fixture_matches_brute_force(self, fixture, threads):
+        src, tgt, gold = fixture()
+        assert simsearch_error_rate(src, tgt, gold, k_nn=4, threads=threads) == 0.0
+
+    def test_negative_kth_row_wins_outside_shortlist(self):
+        src, tgt, gold = negative_kth_fixture()
+        sims = integer_cosines(src, tgt)
+        assert sims[-1, np.argsort(-sims[-1], kind="stable")[mine._SHORTLIST - 1]] < 0.0
+        assert gold[src.ids[-1]] in tgt.ids[mine._SHORTLIST:]
+        assert oracle_undecided(sims, 4) == [len(src.ids) - 1]
+
+    @pytest.mark.parametrize("fixture, rechecks", [(clustered_fixture, False),
+                                                   (duplicate_fixture, True)])
+    def test_second_product_sees_only_undecided_rows(self, monkeypatch, fixture, rechecks):
+        src, tgt, gold = fixture()
+        seen = []
+
+        def spy(q64, *rest):
+            seen.append(q64.copy())
+            return cosine_block(q64, *rest)
+
+        monkeypatch.setattr(mine, "cosine_block", spy)
+        assert simsearch_error_rate(src, tgt, gold, k_nn=4) == 0.0
+        sizes = np.cumsum([len(q) for q in seen])
+        first = int(np.searchsorted(sizes, len(src.ids))) + 1  # calls of the first pass
+        assert sizes[first - 1] == len(src.ids)
+        undecided = oracle_undecided(integer_cosines(src, tgt), 4)
+        assert bool(undecided) is rechecks
+        second = np.vstack([np.empty((0, src.dim))] + seen[first:])
+        np.testing.assert_array_equal(second, src.data[undecided].astype(np.float64))
 
 
 class TestPairsIO:

@@ -566,3 +566,11 @@ class TestCodebookIO:
         (tmp_path / "codebook.emb.meta.jsonl").write_text("")
         with pytest.raises(QuantizeError, match=r"codebook\.emb\.meta\.jsonl is empty"):
             read_codebook(path)
+
+    @pytest.mark.parametrize("first_line", ["[]", "3", '"x"', "null"])
+    def test_sidecar_not_an_object_names_it(self, rng, tmp_path, first_line):
+        path = tmp_path / "codebook.emb"
+        write_codebook(kmeans_fit(rng.normal(size=(30, 3)), k=4, seed=5), path)
+        (tmp_path / "codebook.emb.meta.jsonl").write_text(first_line + "\n")
+        with pytest.raises(QuantizeError, match=r"codebook\.emb\.meta\.jsonl does not hold a JSON object"):
+            read_codebook(path)
