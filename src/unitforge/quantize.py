@@ -3,28 +3,30 @@
 The fitting loop is plain Lloyd iteration over k-means++ seeds. All
 randomness flows through ``numpy.random.default_rng(seed)`` (PCG64).
 
-Nearest-centroid search ranks centroids per 256-row chunk with one float64
-GEMM (||x||^2 - 2 x.c + ||c||^2) and keeps every centroid that a
-rounding-error bound cannot rule out. A row left with one candidate is
-decided: that centroid is strictly nearest by the direct float64 sum of
-(x - c)^2, so no direct sum is taken. Rows left with several pick among them
-by that direct sum, lowest index on ties. Labels therefore equal the
-brute-force argmin exactly. The fit takes each row's direct distance to its
-chosen centroid for the inertia and for reseeding, and sums each cluster's
-rows in row order, so a fit is byte-identical for any thread count or BLAS
-blocking given the same inputs.
+Nearest-centroid search ranks centroids per 256-row chunk with one float32
+GEMM (||x||^2 - 2 x.c + ||c||^2, with ||c||^2 in float64) and keeps every
+centroid that a rounding-error bound cannot rule out. The bound covers the
+rounding of float64 rows and centroids to float32, so the float64 direct sum
+of (x - c)^2 stays the definition. A row left with one candidate is decided:
+that centroid is strictly nearest by the direct float64 sum, so no direct sum
+is taken. Rows left with several pick among them by that direct sum, lowest
+index on ties. Labels therefore equal the brute-force argmin exactly. The
+fit takes each row's direct distance to its chosen centroid for the inertia
+and for reseeding, and sums each cluster's rows in row order, so a fit is
+byte-identical for any thread count or BLAS blocking given the same inputs.
 
-k-means++ seeding is screened by the same certificate: one GEMV per new seed
-gives a lower bound on each row's direct distance to it, and only rows whose
-bound does not rule out an improvement get the direct sum. Every kept
-distance is therefore the direct one, and the chosen seeds equal those of
-the unscreened computation.
+k-means++ seeding is screened by the same certificate: one float32 GEMV per
+new seed gives a lower bound on each row's direct distance to it, and only
+rows whose bound does not rule out an improvement get the direct sum. Every
+kept distance is therefore the direct one, and the chosen seeds equal those
+of the unscreened computation.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -80,6 +82,8 @@ class Codebook:
     inertia_history: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if self.k < 1:
+            raise QuantizeError(f"codebook k must be >= 1, got {self.k}")
         cents = np.ascontiguousarray(self.centroids, dtype=np.float32)
         if cents.shape != (self.k, self.dim):
             raise QuantizeError(f"centroids shape {cents.shape} != ({self.k}, {self.dim})")
@@ -93,29 +97,46 @@ class Codebook:
 
 
 def _certificate(dim: int, cc_max: float) -> tuple[float, float, float]:
-    """Rounding certificate of the expansion ||x||^2 - 2 x.c + ||c||^2.
+    """Rounding certificate of the expansion ||x||^2 - 2 x.c + ||c||^2 whose
+    product x.c is taken in float32.
 
-    Returns ``(coef, floor, xx_limit)``. For a row with computed ``X =
-    ||x||^2 <= xx_limit`` and a centroid with computed ``C = ||c||^2 <=
-    cc_max``, the expansion computed in float64 by any summation order
-    differs from the direct float64 sum of (x - c)^2 by at most
-    ``coef * (X + C) + floor``, with room left for a few roundings of the
-    comparison that uses it.
+    Returns ``(coef, floor, xx_limit)``. Let x and c be float64 vectors, P
+    the float32 product of their roundings to float32 (any summation order),
+    and X, C the float64 computed ||x||^2 and ||c||^2 <= ``cc_max``. If X <=
+    ``xx_limit``, then X + C - 2P, formed in float64, differs from the direct
+    float64 sum of (x - c)^2 by at most ``coef * (X + C) + floor``, with room
+    left for a few roundings of the comparison that uses it. Where X cancels
+    out of the comparison and enters the slack only, it may be the float32
+    sum of the rounded row's squares. A row above the limit, or with a NaN
+    X, must take the direct sum.
     """
-    # With u = eps/2 and gamma_n = n*u/(1 - n*u) (Higham), for X = ||x||^2,
-    # C = ||c||^2 and any summation order of the GEMM or GEMV:
-    #   |fl(x.c) - x.c| <= gamma_d * (X + C) / 2,   |fl(C) - C| <= gamma_d * C,
-    # and the two additions forming fl(C) - 2 fl(x.c) add u * (X + 2C) each,
-    # so the expansion errs by at most (d + 1) u X + (2d + 3) u C. The direct
-    # oracle fl(sum (x - c)^2) errs by at most gamma_(d+2) * ||x - c||^2
-    # <= (2d + 4) u (X + C). Together |expansion - oracle| <= (3d+5) u X +
-    # (4d+7) u C <= (2d+4) eps (X + C). coef doubles that to cover the
-    # comparisons' own rounding and the use of computed X, C; dim * tiny
-    # covers gradual underflow. Below xx_limit, X + C <= max / 8, so neither
-    # the expansion nor the slack can overflow; rows above it (or with a
-    # NaN bound) must take the direct sum.
-    f64 = np.finfo(np.float64)
-    return 4.0 * (dim + 2) * f64.eps, dim * f64.tiny, f64.max / 8 - cc_max
+    # Let u = 2^-24, t = 2^-126 (the least normal float32), gamma_n =
+    # n u / (1 - n u) (Higham), and X = ||x||^2, C = ||c||^2 exactly.
+    #  - Rounding to float32 moves x_i by at most u |x_i| + t; t covers gradual
+    #    underflow, and also a flush to zero. With Cauchy-Schwarz and
+    #    t sqrt(d X) <= (u X + d t^2 / u) / 2, the rounded rows xs, cs give
+    #    |xs.cs - x.c| <= 2u (X + C) + 2 d t^2 / u and ||xs||^2 <= (1 + 4u) X
+    #    + 2 d t^2 / u.
+    #  - The float32 product in any order, each of its 2d operations losing
+    #    at most t to underflow: |P - xs.cs| <= gamma_d ||xs|| ||cs|| + 3 d t.
+    #  - For d u <= 1/8, gamma_d <= 8 d u / 7, so |2P - 2 x.c| <=
+    #    8 (d + 4) u (X + C) / 7 + 7 d t: d from the summation, 4 from the
+    #    rounding of x and c (both vanish for float32 inputs but are kept).
+    #  - The float64 steps as in an all-float64 expansion: forming C and
+    #    C - 2P, and the direct oracle's own error gamma_(d+2) ||x - c||^2,
+    #    stay within (2d + 4) eps64 (X + C) + d tiny64.
+    # coef is (d + 4) eps32 = 2 (d + 4) u plus twice the float64 term: the
+    # factor 7/4 left over the float32 term covers the comparisons' own
+    # rounding and the use of computed X, C in the slack (a float32 X errs by
+    # at most 8 (d + 3) u / 7 relative, plus underflow); 8 d t covers 7 d t,
+    # d tiny64 and the computed norms' underflow. Below xx_limit, X + C <=
+    # max32 / 8, so no float32 partial sum overflows. Past d = 2^21 (where
+    # d u > 1/8) no row is screened.
+    f32, f64 = np.finfo(np.float32), np.finfo(np.float64)
+    coef = (dim + 4) * float(f32.eps) + 4 * (dim + 2) * float(f64.eps)
+    floor = 8 * dim * float(f32.tiny)
+    xx_limit = float(f32.max) / 8 - cc_max if dim <= 2**21 else -math.inf
+    return coef, floor, xx_limit
 
 
 def _direct_argmin(x: np.ndarray, cents: np.ndarray, cand: np.ndarray) -> np.ndarray:
@@ -134,12 +155,18 @@ def _direct_argmin(x: np.ndarray, cents: np.ndarray, cand: np.ndarray) -> np.nda
     return cols[first]
 
 
-def _nearest(features: np.ndarray, centroids: np.ndarray, threads: int = 1) -> np.ndarray:
+def _nearest(features: np.ndarray, centroids: np.ndarray, threads: int = 1,
+             rounded: np.ndarray | None = None) -> np.ndarray:
     """Exact nearest centroid per row by the float64 sum over the feature
     axis of (x - c)^2, ties broken toward the lowest centroid index.
+
+    ``features`` are float32 or float64. The screen multiplies their
+    rounding to float32: ``rounded`` when the caller holds it, else each
+    chunk rounded here (float32 chunks are their own rounding).
     """
-    feats = features.astype(np.float64, copy=False)
     cents = np.ascontiguousarray(centroids, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        cents32 = np.ascontiguousarray(centroids, dtype=np.float32)
     dim = cents.shape[1]
     cc = np.einsum("ij,ij->i", cents, cents)
     coef, floor, xx_limit = _certificate(dim, cc.max())
@@ -149,11 +176,13 @@ def _nearest(features: np.ndarray, centroids: np.ndarray, threads: int = 1) -> n
 
     def one_chunk(bounds: tuple[int, int]) -> np.ndarray:
         lo, hi = bounds
-        x = feats[lo:hi]
+        x = features[lo:hi]
         with np.errstate(all="ignore"):
-            xx = np.einsum("ij,ij->i", x, x)
+            xs = np.ascontiguousarray(x if rounded is None else rounded[lo:hi],
+                                      dtype=np.float32)
+            xx = np.einsum("ij,ij->i", xs, xs).astype(np.float64)
             # upper[i, j] = expansion - X_i + slack_j; X_i is constant per row
-            upper = x @ cents.T
+            upper = (xs @ cents32.T).astype(np.float64)
             upper *= -2.0
             upper += upper_shift
             thresh = upper.min(axis=1) + (2.0 * coef * xx + floor)
@@ -165,16 +194,19 @@ def _nearest(features: np.ndarray, centroids: np.ndarray, threads: int = 1) -> n
         labels = cand.argmax(axis=1)
         open_rows = np.flatnonzero(np.count_nonzero(cand, axis=1) > 1)
         if open_rows.size:
-            labels[open_rows] = _direct_argmin(x[open_rows], cents, cand[open_rows])
+            # float32 to float64 is exact, so these are the rows' own values
+            labels[open_rows] = _direct_argmin(x[open_rows].astype(np.float64, copy=False),
+                                               cents, cand[open_rows])
         return labels
 
-    parts = map_chunks(one_chunk, chunk_ranges(feats.shape[0]), threads)
+    parts = map_chunks(one_chunk, chunk_ranges(features.shape[0]), threads)
     if not parts:
         return np.zeros(0, dtype=np.int64)
     return np.concatenate(parts)
 
 
-_DIRECT_BLOCK = 2048  # rows per direct-distance block
+# rows per direct-distance block; seeding holds a float32 copy of all rows beside it
+_DIRECT_BLOCK = 256
 
 
 def _direct_d2(features: np.ndarray, cents: np.ndarray, rows: np.ndarray | None = None,
@@ -199,13 +231,14 @@ def _direct_d2(features: np.ndarray, cents: np.ndarray, rows: np.ndarray | None 
 
 
 def _lower_to_seed(features: np.ndarray, xx: np.ndarray, d2: np.ndarray,
-                   c: np.ndarray) -> None:
+                   c: np.ndarray, rounded: np.ndarray | None = None) -> None:
     """``d2 = np.minimum(d2, direct distances to c)`` in place, bit for bit.
 
-    ``xx`` holds the computed ||x||^2 of every row. One GEMV gives each row
-    a certified lower bound on its direct distance to ``c``; a row whose
-    bound is at least its ``d2`` keeps it, as ``np.minimum`` would, and only
-    the other rows get the direct sum.
+    ``xx`` holds the float64 computed ||x||^2 of every row, and ``rounded``
+    the rows rounded to float32 (rounded here when not given). One float32
+    GEMV gives each row a certified lower bound on its direct distance to
+    ``c``; a row whose bound is at least its ``d2`` keeps it, as
+    ``np.minimum`` would, and only the other rows get the direct sum.
     """
     with np.errstate(all="ignore"):
         cc = float(c @ c)
@@ -216,7 +249,9 @@ def _lower_to_seed(features: np.ndarray, xx: np.ndarray, d2: np.ndarray,
             # reaches d2 >= 0: skip the GEMV, every row takes the direct sum
             np.minimum(d2, _direct_d2(features, c), out=d2)
             return
-        lower = features @ c
+        if rounded is None:
+            rounded = np.ascontiguousarray(features, dtype=np.float32)
+        lower = (rounded @ c.astype(np.float32)).astype(np.float64)
         lower *= -2.0
         lower += xx
         lower += cc - floor
@@ -239,6 +274,9 @@ def _kmeanspp_init(features: np.ndarray, k: int, rng: np.random.Generator) -> np
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(0, n)
     d2 = _direct_d2(features, features[chosen[0]])
+    # rounded after that direct pass, so the two never hold memory at once
+    with np.errstate(over="ignore"):
+        rounded = np.ascontiguousarray(features, dtype=np.float32)
     for i in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -246,7 +284,7 @@ def _kmeanspp_init(features: np.ndarray, k: int, rng: np.random.Generator) -> np
         else:
             # all remaining mass at distance zero (duplicate points): uniform
             chosen[i] = rng.integers(0, n)
-        _lower_to_seed(features, xx, d2, features[chosen[i]])
+        _lower_to_seed(features, xx, d2, features[chosen[i]], rounded)
     return features[chosen].copy()
 
 
@@ -261,6 +299,11 @@ def kmeans_fit(features: np.ndarray, k: int, seed: int,
     and within the float32 range, as centroids are means of rows and are
     stored as float32.
     """
+    if not tol >= 0:  # NaN fails too
+        raise QuantizeError(f"tol must be >= 0, got {tol}")
+    if max_iters < 0:
+        raise QuantizeError(f"max_iters must be >= 0, got {max_iters}")
+    features = np.asarray(features)
     feats = np.ascontiguousarray(features, dtype=np.float64)
     if feats.ndim != 2:
         raise QuantizeError(f"features must be 2-D, got shape {feats.shape}")
@@ -279,10 +322,13 @@ def kmeans_fit(features: np.ndarray, k: int, seed: int,
 
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_init(feats, k, rng)
+    # the screens' one rounding to float32; float32 input is its own
+    rounded = np.ascontiguousarray(features if features.dtype == np.float32 else feats,
+                                   dtype=np.float32)
     history: list[float] = []
     iters = 0
     for _ in range(max_iters):
-        labels = _nearest(feats, centroids, threads)
+        labels = _nearest(feats, centroids, threads, rounded)
         d2 = _direct_d2(feats, centroids, cols=labels)
         history.append(float(d2.sum()))
         iters += 1
@@ -309,15 +355,20 @@ def kmeans_fit(features: np.ndarray, k: int, seed: int,
         if movement < tol:
             break
 
-    d2 = _direct_d2(feats, centroids, cols=_nearest(feats, centroids, threads))
+    d2 = _direct_d2(feats, centroids, cols=_nearest(feats, centroids, threads, rounded))
     history.append(float(d2.sum()))
     return Codebook(k=k, dim=dim, centroids=centroids.astype(np.float32),
                     seed=seed, iters_run=iters, inertia_history=tuple(history))
 
 
 def assign_units(codebook: Codebook, features: np.ndarray, threads: int = 1) -> UnitSequence:
-    """Quantize each feature row to its nearest centroid (lowest index on ties)."""
-    feats = np.ascontiguousarray(features, dtype=np.float64)
+    """Quantize each feature row to its nearest centroid (lowest index on ties).
+
+    Float32 rows are screened as they are; other rows are taken as float64.
+    """
+    feats = np.asarray(features)
+    if feats.dtype != np.float32:
+        feats = feats.astype(np.float64, copy=False)
     if feats.ndim != 2:
         raise QuantizeError(f"features must be 2-D, got shape {feats.shape}")
     if feats.shape[0] == 0:
@@ -369,6 +420,21 @@ def write_codebook(codebook: Codebook, path: str | Path) -> None:
     write_file(f"{path}.meta.jsonl", json.dumps(meta) + "\n")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# the sidecar's optional fields: what each must hold, and its test
+_SIDECAR_FIELDS = {
+    "seed": ("an integer", _is_int),
+    "iters_run": ("an integer >= 0 or null", lambda v: v is None or _is_int(v) and v >= 0),
+    # abs(v) <= max fails for NaN, infinities and ints too large for a float
+    "final_inertia": ("a finite number or null", lambda v: v is None or (
+        _is_int(v) or type(v) is float) and abs(v) <= sys.float_info.max),
+}
+
+
 def read_codebook(path: str | Path) -> Codebook:
     path = Path(path)
     matrix = embed.read_embeddings(path)
@@ -387,7 +453,11 @@ def read_codebook(path: str | Path) -> Codebook:
             raise QuantizeError(
                 f"sidecar k/dim {meta.get('k')}x{meta.get('dim')} does not match "
                 f"matrix {matrix.rows}x{matrix.dim}")
-        seed = int(meta.get("seed", 0))
+        for key, (want, valid) in _SIDECAR_FIELDS.items():
+            if key in meta and not valid(meta[key]):
+                raise QuantizeError(
+                    f"codebook sidecar {meta_path}: {key!r} must be {want}, got {meta[key]!r}")
+        seed = meta.get("seed", 0)
         iters_run = meta.get("iters_run")
         final_inertia = meta.get("final_inertia")
     history = (float(final_inertia),) if final_inertia is not None else None

@@ -279,6 +279,40 @@ class TestCommonFlags:
         assert seen == [3]
 
 
+class TestQuantizeArguments:
+    def fit(self, workspace, out, *flags):
+        return dispatch(["quantize", "fit", "--k", "2", "--in", str(workspace["feats.emb"]),
+                         "--out", str(out), *flags])
+
+    @pytest.mark.parametrize("flags", [("--tol", "nan"), ("--tol", "-1"), ("--max-iters", "-1")])
+    def test_bad_fit_arguments_exit_1(self, workspace, tmp_path, capsys, flags):
+        out = tmp_path / "cb.emb"
+        assert self.fit(workspace, out, *flags) == 1
+        assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_iterations_allowed(self, workspace, tmp_path):
+        out = tmp_path / "cb.emb"
+        assert self.fit(workspace, out, "--max-iters", "0") == 0
+        assert json.loads((tmp_path / "cb.emb.meta.jsonl").read_text())["iters_run"] == 0
+
+    @pytest.mark.parametrize("key, text", [("seed", "1.7"), ("seed", "null"), ("seed", "1e400"),
+                                           ("iters_run", '"many"'), ("final_inertia", "[1]")])
+    def test_bad_codebook_sidecar_exits_1(self, workspace, tmp_path, capsys, key, text):
+        book = tmp_path / "cb.emb"
+        assert self.fit(workspace, book) == 0
+        sidecar = tmp_path / "cb.emb.meta.jsonl"
+        meta = json.loads(sidecar.read_text())
+        meta[key] = "SENTINEL"
+        sidecar.write_text(json.dumps(meta).replace('"SENTINEL"', text) + "\n")
+        out = tmp_path / "units.txt"
+        assert dispatch(["quantize", "assign", "--codebook", str(book),
+                         "--in", str(workspace["feats.emb"]), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "cb.emb.meta.jsonl" in err and repr(key) in err
+        assert not out.exists()
+
+
 class TestCtcCollapse:
     UNITS = "0 0 3 3 0 5 5 5\n2 2 2\n\n7 0 7\n"
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from unitforge import quantize
+from unitforge import embed, quantize
 from unitforge.quantize import (
     Codebook, QuantizeError, UnitSequence,
     assign_units, ctc_collapse, dedup_units, kmeans_fit,
@@ -91,6 +93,20 @@ class TestKMeansFit:
         with pytest.raises(QuantizeError, match="float32 range"):
             kmeans_fit(rng.normal(size=(50, 4)) * 1e40, k=3, seed=0)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"tol": float("nan")}, "tol"), ({"tol": -1e-6}, "tol"), ({"max_iters": -1}, "max_iters")])
+    def test_bad_tol_or_max_iters_rejected_before_any_work(self, rng, monkeypatch, kwargs, match):
+        def no_work(*args):
+            raise AssertionError("seeding ran")
+
+        monkeypatch.setattr(quantize, "_kmeanspp_init", no_work)
+        with pytest.raises(QuantizeError, match=match):
+            kmeans_fit(rng.normal(size=(20, 3)), k=2, seed=0, **kwargs)
+
+    def test_zero_iterations_allowed(self, rng):
+        cb = kmeans_fit(rng.normal(size=(20, 3)), k=2, seed=0, max_iters=0)
+        assert cb.iters_run == 0 and len(cb.inertia_history) == 1
+
     def test_float32_extremes_accepted(self):
         feats = np.full((6, 2), float(np.finfo(np.float32).max))
         feats[::2] *= -1
@@ -117,6 +133,10 @@ class TestAssignUnits:
         # origin is equidistant from centroids 2 and 5
         assert assign_units(cb, np.zeros((1, 2))).units == (2,)
         assert oracle_assign(np.zeros((1, 2)), cents) == [2]
+
+    def test_codebook_needs_a_centroid(self):
+        with pytest.raises(QuantizeError, match="k must be >= 1"):
+            Codebook(k=0, dim=2, centroids=np.zeros((0, 2), dtype=np.float32), seed=0)
 
     def test_empty_features(self):
         cb = Codebook(k=3, dim=2, centroids=np.zeros((3, 2), dtype=np.float32), seed=0)
@@ -474,6 +494,204 @@ class TestLloydUpdate:
         self.assert_fit_matches(feats, 15, max_iters=6, tol=0)
 
 
+def record_direct_rows(monkeypatch) -> list[np.ndarray]:
+    """Collect the row indices that seeding's screen sends to the direct sum."""
+    seen: list[np.ndarray] = []
+    direct = quantize._direct_d2
+
+    def spy(features, c, rows=None):
+        seen.append(np.arange(len(features)) if rows is None else rows.copy())
+        return direct(features, c, rows)
+
+    monkeypatch.setattr(quantize, "_direct_d2", spy)
+    return seen
+
+
+def assert_lowered(feats: np.ndarray, c: np.ndarray, d2: np.ndarray) -> None:
+    """``_lower_to_seed`` must equal ``np.minimum`` with the direct distances."""
+    with np.errstate(all="ignore"):
+        want = np.minimum(d2, ((feats - c) ** 2).sum(axis=1))
+    got = d2.copy()
+    quantize._lower_to_seed(feats, np.einsum("ij,ij->i", feats, feats), got, c)
+    assert np.array_equal(got, want)
+
+
+class TestFloat32Certificate:
+    """The float32 product screens; the float64 direct sum still decides."""
+
+    def midpoint_rows(self, rng, cents: np.ndarray, rel_gaps: np.ndarray) -> np.ndarray:
+        """Float64 rows off the midpoint of centroids 0 and 1, each with the
+        given signed gap (d_0 - d_1) / (||x||^2 + ||c||^2)."""
+        c = cents.astype(np.float64)
+        v = c[1] - c[0]
+        mid = (c[0] + c[1]) / 2
+        scale = 2.0 * (mid @ mid)
+        # d_0 - d_1 = 2 s ||v||^2 for x = mid + s v
+        return mid + np.outer(rel_gaps * scale / (2.0 * (v @ v)), v)
+
+    def test_near_ties_below_float32_resolution_reach_the_direct_sum(self, rng, monkeypatch):
+        dim = 64
+        cents = (rng.normal(size=(20, dim)) + 10.0).astype(np.float32)
+        # relative gaps far above float64's rounding (about 1e-13 here) and
+        # far below float32's (about 1e-5), of either sign
+        gaps = np.exp(rng.uniform(np.log(1e-11), np.log(1e-7), 60)) * rng.choice([-1, 1], 60)
+        feats = self.midpoint_rows(rng, cents, gaps)
+        seen = record_candidates(monkeypatch)
+        got = quantize._nearest(feats, cents)
+        assert list(got) == oracle_assign(feats, cents)
+        assert set(got) == {0, 1}
+        counts = np.concatenate(seen)
+        assert len(counts) == len(feats) and (counts >= 2).all()
+
+        # seeding: current distances just under the new ones must stay,
+        # just over must fall, and neither can be told apart by the bound
+        feats = feats + rng.normal(size=feats.shape)
+        c = cents[0].astype(np.float64)
+        direct = ((feats - c) ** 2).sum(axis=1)
+        d2 = direct * (1 + np.abs(gaps) * np.sign(rng.normal(size=len(gaps))))
+        rows = record_direct_rows(monkeypatch)
+        assert_lowered(feats, c, d2)
+        assert np.array_equal(np.concatenate(rows), np.arange(len(feats)))
+
+    def test_rounding_to_float32_flips_the_order(self, rng, monkeypatch):
+        # float64 rows and centroids, as k-means holds them, so close to a
+        # tie that their float32 roundings order the two centroids the other way
+        dim = 64
+        cents = rng.normal(size=(6, dim)) + 10.0
+        gaps = rng.uniform(-1e-9, 1e-9, 400)
+        feats = self.midpoint_rows(rng, cents, gaps) + rng.normal(size=(400, dim)) * 1e-9
+        exact = oracle_dists(feats, cents)
+        rounded = oracle_dists(feats.astype(np.float32), cents.astype(np.float32))
+        flips = np.sign(exact[:, 0] - exact[:, 1]) != np.sign(rounded[:, 0] - rounded[:, 1])
+        assert flips.sum() >= 40
+        seen = record_candidates(monkeypatch)
+        assert list(quantize._nearest(feats, cents)) == oracle_assign(feats, cents)
+        assert len(np.concatenate(seen)) == len(feats)
+        # seeding with centroid 0 drawn before and centroid 1 now
+        rows = record_direct_rows(monkeypatch)
+        assert_lowered(feats, cents[1], exact[:, 0])
+        assert set(np.flatnonzero(flips)) <= set(np.concatenate(rows))
+
+    def test_squared_norms_past_the_float32_range(self, rng, monkeypatch):
+        # every value fits in float32 but ||x||^2 near 1e41 does not
+        dim = 768
+        cents = (rng.normal(size=(8, dim)) * 1e19).astype(np.float32)
+        feats = cents[rng.integers(0, 8, 60)] + rng.normal(size=(60, dim)) * 1e18
+        feats = feats.astype(np.float32)
+        assert np.isinf(np.einsum("ij,ij->i", feats, feats)).all()
+        seen = record_candidates(monkeypatch)
+        cb = Codebook(k=8, dim=dim, centroids=cents, seed=0)
+        assert list(assign_units(cb, feats).units) == oracle_assign(feats, cents)
+        assert (np.concatenate(seen) == 8).all()  # every row takes the direct sum
+        monkeypatch.undo()
+        f64 = feats.astype(np.float64)
+        for c in (f64[3], f64[3] + rng.normal(size=dim) * 1e15):
+            direct = ((f64 - c) ** 2).sum(axis=1)
+            for d2 in (direct, np.nextafter(direct, 0), np.full_like(direct, np.inf)):
+                assert_lowered(f64, c, d2)
+        for seed in (0, 1):
+            want = oracle_kmeanspp(f64, 6, np.random.default_rng(seed))
+            got = quantize._kmeanspp_init(f64, 6, np.random.default_rng(seed))
+            assert np.array_equal(got, want)
+        book = kmeans_fit(feats, k=4, seed=2, max_iters=3)
+        assert np.isfinite(book.centroids).all()
+        # rows whose float32 ||x||^2 fits, against a centroid whose norm does
+        # not: their float32 product with it overflows, yet it is the farthest
+        base = np.abs(rng.normal(size=dim)) * 5e17
+        rows = (base + rng.normal(size=(40, dim)) * 1e16).astype(np.float32)
+        cents = np.vstack([3.2 * base, rows[:5]]).astype(np.float32)
+        assert np.isfinite(np.einsum("ij,ij->i", rows, rows)).all()
+        with np.errstate(over="ignore"):
+            assert np.isinf(rows @ cents[0]).all()
+        cb = Codebook(k=6, dim=dim, centroids=cents, seed=0)
+        assert list(assign_units(cb, rows).units) == oracle_assign(rows, cents)
+
+    def test_float64_rows_beyond_the_float32_range(self, rng):
+        cents = rng.normal(size=(7, 16)).astype(np.float32)
+        feats = rng.normal(size=(8, 16))
+        feats[0] *= 1e39
+        feats[1] *= 1e300
+        feats[2, 5] = 5e38  # one coordinate past float32, the rest small
+        feats[3, :2] = [-1e60, 1e60]
+        feats[4] = cents[2] * 1e38  # rounds to float32 max or to inf
+        feats[5] = np.float64(np.finfo(np.float32).max) * (1 + 2.0**-26)
+        cb = Codebook(k=7, dim=16, centroids=cents, seed=0)
+        with np.errstate(all="ignore"):
+            assert list(assign_units(cb, feats).units) == oracle_assign(feats, cents)
+
+    def test_subnormal_rows_and_tiny_rows_against_large_centroids(self, rng):
+        dim = 32
+        # float32-subnormal rows against centroids of their own scale, with
+        # exact ties (a mirrored pair) and near-ties at a midpoint; every
+        # float32 product underflows to zero
+        tiny = float(np.finfo(np.float32).tiny)
+        cents = (rng.normal(size=(6, dim)) * tiny * 1e-3).astype(np.float32)
+        cents[1] = -cents[0]
+        mids = (cents[2].astype(np.float64) + cents[3]) / 2
+        feats = np.vstack([cents * 0.5, np.zeros((1, dim)),
+                           mids + rng.normal(size=(20, dim)) * tiny * 1e-9]).astype(np.float32)
+        cb = Codebook(k=6, dim=dim, centroids=cents, seed=0)
+        assert list(assign_units(cb, feats).units) == oracle_assign(feats, cents)
+        c64 = cents.astype(np.float64)
+        for x in (feats.astype(np.float64), rng.normal(size=(40, dim)) * 1e-40):
+            assert list(quantize._nearest(x, c64)) == oracle_assign(x, c64)
+            assert_lowered(x, c64[2], ((x - c64[3]) ** 2).sum(axis=1))
+        # tiny rows against far larger centroids: products are float32
+        # subnormals (1e-42) or nothing (1e-73), and mirrored centroids have
+        # equal norms, so only x.c tells them apart
+        for row_scale, cent_scale in ((1e-24, 1e-18), (1e-43, 1e-30), (1e-30, 1e3)):
+            big = rng.normal(size=(4, dim)) * cent_scale
+            big = np.vstack([big, -big])
+            x = rng.normal(size=(50, dim)) * row_scale
+            assert list(quantize._nearest(x, big)) == oracle_assign(x, big)
+            cb = Codebook(k=8, dim=dim, centroids=big.astype(np.float32), seed=0)
+            xs = x.astype(np.float32)
+            assert list(assign_units(cb, xs).units) == oracle_assign(xs, cb.centroids)
+            assert_lowered(x, big[0], ((x - big[4]) ** 2).sum(axis=1))
+            assert_lowered(x, big[4], ((x - big[0]) ** 2).sum(axis=1))
+
+    def test_open_rows_stay_few_on_clustered_d768(self, rng, monkeypatch):
+        # speech clusters plus 10% silence frames on midpoints of centroid
+        # pairs: a screen that opened every row would fail the bound
+        dim, k = 768, 100
+        speech = rng.standard_normal((40, dim)) * 1.5
+        train = speech[rng.integers(0, 40, 800)] + rng.standard_normal((800, dim))
+        train = train.astype(np.float32)
+        book = kmeans_fit(train, k=k, seed=1, max_iters=5, tol=0)
+        c = book.centroids.astype(np.float64)
+        pairs = rng.integers(0, k, size=(100, 2))
+        mids = (c[pairs[:, 0]] + c[pairs[:, 1]]) / 2 + 1e-6 * rng.standard_normal((100, dim))
+        frames = np.vstack([speech[rng.integers(0, 40, 900)] + rng.standard_normal((900, dim)),
+                            mids]).astype(np.float32)
+        seen = record_candidates(monkeypatch)
+        assert list(assign_units(book, frames).units) == oracle_assign(frames, book.centroids)
+        open_rows = sum(len(s) for s in seen)
+        assert 0.05 * len(frames) <= open_rows <= 0.15 * len(frames)
+
+    def test_slack_keeps_its_margin(self):
+        # to first order a float32 product of rows rounded from float64 errs
+        # by (d + 2) u (X + C), u = 2^-24: d from the summation, 2 from the
+        # rounding of x and c; the slack keeps a factor 2 over it, and its
+        # floor covers 4d float32 underflows
+        u, tiny = 2.0**-24, float(np.finfo(np.float32).tiny)
+        for dim in (1, 16, 768, 2**21):
+            coef, floor, xx_limit = quantize._certificate(dim, 1.0)
+            assert coef >= 2 * (dim + 2) * u and floor >= 4 * dim * tiny
+            assert xx_limit == float(np.finfo(np.float32).max) / 8 - 1.0
+        assert quantize._certificate(2**21 + 1, 1.0)[2] < 0  # past that, no screen
+
+    def test_float32_input_equals_its_float64_copy(self, rng):
+        # the screens use the caller's float32 rows or round float64 ones;
+        # either way the fit is the same
+        feats = (rng.normal(size=(500, 48)) + np.repeat(rng.normal(size=(5, 48)) * 3, 100, axis=0))
+        f32 = feats.astype(np.float32)
+        a = kmeans_fit(f32, k=9, seed=4, max_iters=4, tol=0)
+        for other in (f32.astype(np.float64), np.asfortranarray(f32)):
+            b = kmeans_fit(other, k=9, seed=4, max_iters=4, tol=0)
+            assert a.centroids.tobytes() == b.centroids.tobytes()
+            assert a.inertia_history == b.inertia_history
+
+
 class TestUnitOps:
     def test_dedup_example(self):
         seq = UnitSequence(vocab_size=10, units=(5, 5, 2, 2, 2, 9))
@@ -573,4 +791,38 @@ class TestCodebookIO:
         write_codebook(kmeans_fit(rng.normal(size=(30, 3)), k=4, seed=5), path)
         (tmp_path / "codebook.emb.meta.jsonl").write_text(first_line + "\n")
         with pytest.raises(QuantizeError, match=r"codebook\.emb\.meta\.jsonl does not hold a JSON object"):
+            read_codebook(path)
+
+    @pytest.mark.parametrize("key, text", [
+        ("seed", "null"), ("seed", "1e400"), ("seed", "1.7"), ("seed", "true"), ("seed", '"7"'),
+        ("iters_run", '"many"'), ("iters_run", "-1"), ("iters_run", "2.0"),
+        ("final_inertia", "[1]"), ("final_inertia", "NaN"), ("final_inertia", "1e400"),
+        ("final_inertia", "false"), ("final_inertia", "1" + "0" * 400),
+    ])
+    def test_sidecar_field_types_name_file_and_key(self, rng, tmp_path, key, text):
+        path = tmp_path / "codebook.emb"
+        write_codebook(kmeans_fit(rng.normal(size=(30, 3)), k=4, seed=5), path)
+        sidecar = tmp_path / "codebook.emb.meta.jsonl"
+        meta = json.loads(sidecar.read_text())
+        meta[key] = "SENTINEL"
+        sidecar.write_text(json.dumps(meta).replace('"SENTINEL"', text) + "\n")
+        with pytest.raises(QuantizeError, match=rf"codebook\.emb\.meta\.jsonl: '{key}' must be"):
+            read_codebook(path)
+
+    @pytest.mark.parametrize("key, value", [("iters_run", None), ("final_inertia", None),
+                                            ("final_inertia", 3), ("iters_run", 0)])
+    def test_sidecar_null_and_integer_fields_accepted(self, rng, tmp_path, key, value):
+        path = tmp_path / "codebook.emb"
+        write_codebook(kmeans_fit(rng.normal(size=(30, 3)), k=4, seed=5), path)
+        sidecar = tmp_path / "codebook.emb.meta.jsonl"
+        meta = json.loads(sidecar.read_text())
+        meta[key] = value
+        sidecar.write_text(json.dumps(meta) + "\n")
+        loaded = read_codebook(path)
+        assert loaded.seed == 5 and getattr(loaded, key) == value
+
+    def test_zero_row_codebook_rejected(self, tmp_path):
+        path = tmp_path / "codebook.emb"
+        embed.write_embeddings(embed.EmbeddingMatrix(data=np.zeros((0, 3), np.float32)), path)
+        with pytest.raises(QuantizeError, match="k must be >= 1"):
             read_codebook(path)
