@@ -3,6 +3,14 @@
 The fitting loop is plain Lloyd iteration over k-means++ seeds. All
 randomness flows through ``numpy.random.default_rng(seed)`` (PCG64).
 
+Input rule, shared by ``kmeans_fit`` and ``assign_units``: features are a
+2-D matrix of rows; float32 rows are used as they are (made C-contiguous if
+they are not), and any other dtype is taken as float64. Float32 to float64
+is exact, so a float32 matrix and its float64 copy give the same labels,
+seeds, centroids and inertia; the float32 one is read in place. Within a
+fit, seeds, centroids and every direct sum are float64; the codebook stores
+its centroids as float32.
+
 Nearest-centroid search ranks centroids per 256-row chunk with one float32
 GEMM (||x||^2 - 2 x.c + ||c||^2, with ||c||^2 in float64) and keeps every
 centroid that a rounding-error bound cannot rule out. The bound covers the
@@ -155,14 +163,12 @@ def _direct_argmin(x: np.ndarray, cents: np.ndarray, cand: np.ndarray) -> np.nda
     return cols[first]
 
 
-def _nearest(features: np.ndarray, centroids: np.ndarray, threads: int = 1,
-             rounded: np.ndarray | None = None) -> np.ndarray:
+def _nearest(features: np.ndarray, centroids: np.ndarray, threads: int = 1) -> np.ndarray:
     """Exact nearest centroid per row by the float64 sum over the feature
     axis of (x - c)^2, ties broken toward the lowest centroid index.
 
-    ``features`` are float32 or float64. The screen multiplies their
-    rounding to float32: ``rounded`` when the caller holds it, else each
-    chunk rounded here (float32 chunks are their own rounding).
+    ``features`` are float32 or float64. The screen multiplies each chunk
+    rounded to float32; float32 chunks are their own rounding.
     """
     cents = np.ascontiguousarray(centroids, dtype=np.float64)
     with np.errstate(over="ignore"):
@@ -178,8 +184,7 @@ def _nearest(features: np.ndarray, centroids: np.ndarray, threads: int = 1,
         lo, hi = bounds
         x = features[lo:hi]
         with np.errstate(all="ignore"):
-            xs = np.ascontiguousarray(x if rounded is None else rounded[lo:hi],
-                                      dtype=np.float32)
+            xs = np.ascontiguousarray(x, dtype=np.float32)
             xx = np.einsum("ij,ij->i", xs, xs).astype(np.float64)
             # upper[i, j] = expansion - X_i + slack_j; X_i is constant per row
             upper = (xs @ cents32.T).astype(np.float64)
@@ -205,7 +210,7 @@ def _nearest(features: np.ndarray, centroids: np.ndarray, threads: int = 1,
     return np.concatenate(parts)
 
 
-# rows per direct-distance block; seeding holds a float32 copy of all rows beside it
+# rows per direct-distance block
 _DIRECT_BLOCK = 256
 
 
@@ -213,10 +218,12 @@ def _direct_d2(features: np.ndarray, cents: np.ndarray, rows: np.ndarray | None 
                cols: np.ndarray | None = None) -> np.ndarray:
     """Direct float64 sum of (x - c)^2 for every row, or for ``features[rows]``.
 
-    ``c`` is ``cents`` itself (one vector) for every row or, when ``cols`` is
-    given, ``cents[cols[i]]`` for the i-th row. Rows go through in fixed
-    blocks, so the difference held at once stays small; each row is summed
-    exactly as over the whole matrix.
+    ``features`` are float32 or float64 and ``cents`` float64, so each
+    difference is taken in float64 from the rows' exact values. ``c`` is
+    ``cents`` itself (one vector) for every row or, when ``cols`` is given,
+    ``cents[cols[i]]`` for the i-th row. Rows go through in fixed blocks, so
+    the difference held at once stays small; each row is summed exactly as
+    over the whole matrix.
     """
     n = features.shape[0] if rows is None else rows.shape[0]
     out = np.empty(n)
@@ -231,14 +238,14 @@ def _direct_d2(features: np.ndarray, cents: np.ndarray, rows: np.ndarray | None 
 
 
 def _lower_to_seed(features: np.ndarray, xx: np.ndarray, d2: np.ndarray,
-                   c: np.ndarray, rounded: np.ndarray | None = None) -> None:
+                   c: np.ndarray, rounded: np.ndarray) -> None:
     """``d2 = np.minimum(d2, direct distances to c)`` in place, bit for bit.
 
-    ``xx`` holds the float64 computed ||x||^2 of every row, and ``rounded``
-    the rows rounded to float32 (rounded here when not given). One float32
-    GEMV gives each row a certified lower bound on its direct distance to
-    ``c``; a row whose bound is at least its ``d2`` keeps it, as
-    ``np.minimum`` would, and only the other rows get the direct sum.
+    ``c`` is float64, ``xx`` holds the float64 computed ||x||^2 of every row,
+    and ``rounded`` the rows rounded to float32. One float32 GEMV gives each
+    row a certified lower bound on its direct distance to ``c``; a row whose
+    bound is at least its ``d2`` keeps it, as ``np.minimum`` would, and only
+    the other rows get the direct sum.
     """
     with np.errstate(all="ignore"):
         cc = float(c @ c)
@@ -249,8 +256,6 @@ def _lower_to_seed(features: np.ndarray, xx: np.ndarray, d2: np.ndarray,
             # reaches d2 >= 0: skip the GEMV, every row takes the direct sum
             np.minimum(d2, _direct_d2(features, c), out=d2)
             return
-        if rounded is None:
-            rounded = np.ascontiguousarray(features, dtype=np.float32)
         lower = (rounded @ c.astype(np.float32)).astype(np.float64)
         lower *= -2.0
         lower += xx
@@ -266,15 +271,17 @@ def _kmeanspp_init(features: np.ndarray, k: int, rng: np.random.Generator) -> np
     """k-means++ seeds, each drawn with probability proportional to the
     direct float64 squared distance to the nearest earlier seed.
 
-    The distances after each draw are screened (``_lower_to_seed``) but
-    equal the direct ones, so the draws equal the unscreened ones.
+    ``features`` are float32 or float64 rows; the seeds are returned as
+    float64. The distances after each draw are screened (``_lower_to_seed``)
+    but equal the direct ones, so the draws equal the unscreened ones.
     """
     n = features.shape[0]
-    xx = np.einsum("ij,ij->i", features, features)
+    xx = np.einsum("ij,ij->i", features, features, dtype=np.float64)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(0, n)
-    d2 = _direct_d2(features, features[chosen[0]])
-    # rounded after that direct pass, so the two never hold memory at once
+    d2 = _direct_d2(features, features[chosen[0]].astype(np.float64))
+    # rounded after that direct pass, so the two never hold memory at once;
+    # C-contiguous float32 rows are their own rounding
     with np.errstate(over="ignore"):
         rounded = np.ascontiguousarray(features, dtype=np.float32)
     for i in range(1, k):
@@ -284,8 +291,19 @@ def _kmeanspp_init(features: np.ndarray, k: int, rng: np.random.Generator) -> np
         else:
             # all remaining mass at distance zero (duplicate points): uniform
             chosen[i] = rng.integers(0, n)
-        _lower_to_seed(features, xx, d2, features[chosen[i]], rounded)
-    return features[chosen].copy()
+        _lower_to_seed(features, xx, d2, features[chosen[i]].astype(np.float64), rounded)
+    return features[chosen].astype(np.float64)
+
+
+def _rows(features: np.ndarray) -> np.ndarray:
+    """``features`` under the module's input rule: 2-D, float32 as given or
+    else float64, and C-contiguous, so that the direct sums add each row in
+    the same order whatever the caller's layout."""
+    feats = np.asarray(features)
+    if feats.ndim != 2:
+        raise QuantizeError(f"features must be 2-D, got shape {feats.shape}")
+    return np.ascontiguousarray(
+        feats, dtype=np.float32 if feats.dtype == np.float32 else np.float64)
 
 
 def kmeans_fit(features: np.ndarray, k: int, seed: int,
@@ -295,22 +313,22 @@ def kmeans_fit(features: np.ndarray, k: int, seed: int,
 
     Stops when the max centroid L2 displacement falls below ``tol`` or
     after ``max_iters`` iterations. The recorded inertia sequence (one
-    entry per assignment step) is non-increasing. Features must be finite
-    and within the float32 range, as centroids are means of rows and are
-    stored as float32.
+    entry per assignment step) is non-increasing. Features follow the
+    module's input rule, so float32 rows are read in place; they must be
+    finite and within the float32 range, as centroids are means of rows and
+    are stored as float32.
     """
     if not tol >= 0:  # NaN fails too
         raise QuantizeError(f"tol must be >= 0, got {tol}")
     if max_iters < 0:
         raise QuantizeError(f"max_iters must be >= 0, got {max_iters}")
-    features = np.asarray(features)
-    feats = np.ascontiguousarray(features, dtype=np.float64)
-    if feats.ndim != 2:
-        raise QuantizeError(f"features must be 2-D, got shape {feats.shape}")
-    if not np.isfinite(feats).all():
+    feats = _rows(features)
+    # a NaN or an infinity anywhere shows in the max or the min
+    hi, lo = float(feats.max(initial=0.0)), float(feats.min(initial=0.0))
+    if not (math.isfinite(hi) and math.isfinite(lo)):
         raise QuantizeError("features contain non-finite values")
     f32_max = float(np.finfo(np.float32).max)
-    if feats.max(initial=0.0) > f32_max or feats.min(initial=0.0) < -f32_max:
+    if hi > f32_max or lo < -f32_max:
         raise QuantizeError(
             f"features exceed the float32 range [-{f32_max:.6g}, {f32_max:.6g}] "
             "of the codebook")
@@ -322,13 +340,10 @@ def kmeans_fit(features: np.ndarray, k: int, seed: int,
 
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_init(feats, k, rng)
-    # the screens' one rounding to float32; float32 input is its own
-    rounded = np.ascontiguousarray(features if features.dtype == np.float32 else feats,
-                                   dtype=np.float32)
     history: list[float] = []
     iters = 0
     for _ in range(max_iters):
-        labels = _nearest(feats, centroids, threads, rounded)
+        labels = _nearest(feats, centroids, threads)
         d2 = _direct_d2(feats, centroids, cols=labels)
         history.append(float(d2.sum()))
         iters += 1
@@ -355,7 +370,7 @@ def kmeans_fit(features: np.ndarray, k: int, seed: int,
         if movement < tol:
             break
 
-    d2 = _direct_d2(feats, centroids, cols=_nearest(feats, centroids, threads, rounded))
+    d2 = _direct_d2(feats, centroids, cols=_nearest(feats, centroids, threads))
     history.append(float(d2.sum()))
     return Codebook(k=k, dim=dim, centroids=centroids.astype(np.float32),
                     seed=seed, iters_run=iters, inertia_history=tuple(history))
@@ -364,13 +379,9 @@ def kmeans_fit(features: np.ndarray, k: int, seed: int,
 def assign_units(codebook: Codebook, features: np.ndarray, threads: int = 1) -> UnitSequence:
     """Quantize each feature row to its nearest centroid (lowest index on ties).
 
-    Float32 rows are screened as they are; other rows are taken as float64.
+    Features follow the module's input rule, so float32 rows are read in place.
     """
-    feats = np.asarray(features)
-    if feats.dtype != np.float32:
-        feats = feats.astype(np.float64, copy=False)
-    if feats.ndim != 2:
-        raise QuantizeError(f"features must be 2-D, got shape {feats.shape}")
+    feats = _rows(features)
     if feats.shape[0] == 0:
         return UnitSequence(vocab_size=codebook.k, units=())
     if feats.shape[1] != codebook.dim:

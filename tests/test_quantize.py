@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,10 +84,12 @@ class TestKMeansFit:
             kmeans_fit(np.zeros((2, 3)), k=5, seed=0)
 
     def test_non_finite_rejected(self):
-        feats = np.zeros((4, 2))
-        feats[1, 1] = np.nan
-        with pytest.raises(QuantizeError):
-            kmeans_fit(feats, k=2, seed=0)
+        for bad in (np.nan, np.inf, -np.inf):
+            for dtype in (np.float64, np.float32):
+                feats = np.zeros((4, 2), dtype=dtype)
+                feats[1, 1] = bad
+                with pytest.raises(QuantizeError, match="non-finite"):
+                    kmeans_fit(feats, k=2, seed=0)
 
     def test_beyond_float32_range_rejected(self, rng):
         # rejected up front, not after a fit whose float32 codebook overflows
@@ -112,6 +115,21 @@ class TestKMeansFit:
         feats[::2] *= -1
         book = kmeans_fit(feats, k=2, seed=0)
         assert np.isfinite(book.centroids).all()
+
+    def test_float32_rows_are_read_in_place(self, rng):
+        # no copy of the rows: the fit's heap peak stays below their own size
+        n, dim, k = 4000, 256, 16
+        feats = (rng.normal(size=(n, dim))
+                 + np.repeat(rng.normal(size=(k, dim)) * 3, n // k, axis=0)).astype(np.float32)
+        size = n * dim * 4
+        tracemalloc.start()
+        try:
+            book = kmeans_fit(feats, k=k, seed=0, max_iters=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert book.iters_run >= 1
+        assert peak < size, f"peak {peak} bytes for {size} bytes of rows"
 
 
 class TestAssignUnits:
@@ -292,7 +310,8 @@ class TestExactKernel:
 
 
 def oracle_kmeanspp(features: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding with a full direct distance pass per seed."""
+    """k-means++ seeding with a full direct float64 distance pass per seed."""
+    features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(0, n)
@@ -307,14 +326,24 @@ def oracle_kmeanspp(features: np.ndarray, k: int, rng: np.random.Generator) -> n
     return features[chosen].copy()
 
 
+def float32_too(feats: np.ndarray) -> list[np.ndarray]:
+    """``feats`` and, when its values fit in float32, its float32 rounding."""
+    if np.abs(feats).max() <= np.finfo(np.float32).max:
+        return [feats, feats.astype(np.float32)]
+    return [feats]
+
+
 class TestKMeansPlusPlusSeeding:
-    """The screened seeding must draw exactly the seeds of the direct oracle."""
+    """The screened seeding must draw exactly the seeds of the direct oracle,
+    on float64 rows and on float32 rows taken at their float64 values."""
 
     def assert_seeds_match(self, feats: np.ndarray, k: int, seeds=(0, 1, 2)):
-        for seed in seeds:
-            want = oracle_kmeanspp(feats, k, np.random.default_rng(seed))
-            got = quantize._kmeanspp_init(feats, k, np.random.default_rng(seed))
-            assert np.array_equal(got, want), f"seed {seed}"
+        for rows in float32_too(feats):
+            for seed in seeds:
+                want = oracle_kmeanspp(rows, k, np.random.default_rng(seed))
+                got = quantize._kmeanspp_init(rows, k, np.random.default_rng(seed))
+                assert got.dtype == np.float64
+                assert np.array_equal(got, want), f"{rows.dtype} seed {seed}"
 
     def assert_fit_matches(self, monkeypatch, feats: np.ndarray, k: int,
                            threads=(1,), max_iters: int = 3):
@@ -334,18 +363,23 @@ class TestKMeansPlusPlusSeeding:
         (1e148, 2e152, 768),    # past the overflow limit
     ])
     def test_screened_update_equals_direct_minimum(self, rng, scale, offset, dim):
-        feats = rng.normal(size=(300, dim)) * scale + offset
-        xx = np.einsum("ij,ij->i", feats, feats)
-        for c in (feats[7], feats[7] + rng.normal(size=dim) * scale * 1e-3, feats.mean(axis=0)):
-            with np.errstate(all="ignore"):
-                direct = ((feats - c) ** 2).sum(axis=1)
-            # current distances on, and one ulp either side of, the new ones
-            for d2 in (direct, np.nextafter(direct, np.inf), np.nextafter(direct, 0),
-                       direct * (1 + 1e-9), np.zeros_like(direct), np.full_like(direct, np.inf)):
-                want = np.minimum(d2, direct)
-                got = d2.copy()
-                quantize._lower_to_seed(feats, xx, got, c)
-                assert np.array_equal(got, want)
+        for rows in float32_too(rng.normal(size=(300, dim)) * scale + offset):
+            feats = rows.astype(np.float64)
+            xx = np.einsum("ij,ij->i", rows, rows, dtype=np.float64)
+            with np.errstate(over="ignore"):
+                rounded = rows.astype(np.float32)
+            for c in (feats[7], feats[7] + rng.normal(size=dim) * scale * 1e-3,
+                      feats.mean(axis=0)):
+                with np.errstate(all="ignore"):
+                    direct = ((feats - c) ** 2).sum(axis=1)
+                # current distances on, and one ulp either side of, the new ones
+                for d2 in (direct, np.nextafter(direct, np.inf), np.nextafter(direct, 0),
+                           direct * (1 + 1e-9), np.zeros_like(direct),
+                           np.full_like(direct, np.inf)):
+                    want = np.minimum(d2, direct)
+                    got = d2.copy()
+                    quantize._lower_to_seed(rows, xx, got, c, rounded)
+                    assert np.array_equal(got, want)
 
     def test_clustered_d768_with_near_ties(self, rng, monkeypatch):
         # speech clusters plus silence points and the midpoints of their pairs
@@ -373,6 +407,14 @@ class TestKMeansPlusPlusSeeding:
             quantize._kmeanspp_init(feats, 40, np.random.default_rng(0))
         assert sum(direct_rows[1:]) < 0.25 * 39 * len(feats)
         self.assert_fit_matches(monkeypatch, feats, 40, threads=(1, 8))
+
+    @pytest.mark.parametrize("scale", [1e-22, 1e19])
+    def test_float32_rows_whose_squares_leave_the_float32_range(self, rng, scale):
+        # float32 squares of these rows' differences underflow or overflow,
+        # so only float64 differences give the oracle's draws
+        cents = rng.normal(size=(10, 64))
+        feats = (cents[rng.integers(0, 10, 300)] + rng.normal(size=(300, 64)) * 0.1) * scale
+        self.assert_seeds_match(feats, 15)
 
     def test_duplicate_rows_reach_uniform_draws(self, rng, monkeypatch):
         feats = np.tile(rng.normal(size=(5, 16)), (20, 1))
@@ -512,7 +554,8 @@ def assert_lowered(feats: np.ndarray, c: np.ndarray, d2: np.ndarray) -> None:
     with np.errstate(all="ignore"):
         want = np.minimum(d2, ((feats - c) ** 2).sum(axis=1))
     got = d2.copy()
-    quantize._lower_to_seed(feats, np.einsum("ij,ij->i", feats, feats), got, c)
+    quantize._lower_to_seed(feats, np.einsum("ij,ij->i", feats, feats), got, c,
+                            feats.astype(np.float32))
     assert np.array_equal(got, want)
 
 
@@ -680,16 +723,35 @@ class TestFloat32Certificate:
             assert xx_limit == float(np.finfo(np.float32).max) / 8 - 1.0
         assert quantize._certificate(2**21 + 1, 1.0)[2] < 0  # past that, no screen
 
-    def test_float32_input_equals_its_float64_copy(self, rng):
-        # the screens use the caller's float32 rows or round float64 ones;
-        # either way the fit is the same
-        feats = (rng.normal(size=(500, 48)) + np.repeat(rng.normal(size=(5, 48)) * 3, 100, axis=0))
-        f32 = feats.astype(np.float32)
-        a = kmeans_fit(f32, k=9, seed=4, max_iters=4, tol=0)
-        for other in (f32.astype(np.float64), np.asfortranarray(f32)):
-            b = kmeans_fit(other, k=9, seed=4, max_iters=4, tol=0)
-            assert a.centroids.tobytes() == b.centroids.tobytes()
-            assert a.inertia_history == b.inertia_history
+    def test_float32_input_equals_its_float64_copy(self, rng, monkeypatch):
+        # the fit reads float32 rows in place and takes other rows as
+        # float64; float32 to float64 is exact, so either way the fit is the same
+        dim = 48
+        clusters = rng.normal(size=(500, dim)) + np.repeat(rng.normal(size=(5, dim)) * 3, 100,
+                                                           axis=0)
+        # 6 distinct rows leave at least 4 of 10 clusters empty every iteration
+        duplicates = np.tile(rng.normal(size=(6, dim)), (50, 1))
+        # ||x||^2 near 1e41 overflows float32 though every value fits
+        big = rng.normal(size=(8, 768)) * 1e19
+        big_norms = big[rng.integers(0, 8, 60)] + rng.normal(size=(60, 768)) * 1e18
+        # rows on midpoints of point pairs tie between the seeds drawn at them
+        points = 3.0 * rng.standard_normal((6, dim))
+        mids = (points[0::2] + points[1::2]) / 2.0
+        ties = np.vstack([points[rng.integers(0, 6, 60)] + 1e-5 * rng.standard_normal((60, dim)),
+                          mids[rng.integers(0, 3, 40)] + 1e-6 * rng.standard_normal((40, dim))])
+        seen = record_candidates(monkeypatch)
+        for feats, k in ((clusters, 9), (duplicates, 10), (big_norms, 4), (ties, 6)):
+            seen.clear()
+            f32 = feats.astype(np.float32)
+            a = kmeans_fit(f32, k=k, seed=4, max_iters=4, tol=0)
+            for other in (f32.astype(np.float64), np.asfortranarray(f32)):
+                b = kmeans_fit(other, k=k, seed=4, max_iters=4, tol=0)
+                assert a.centroids.tobytes() == b.centroids.tobytes()
+                assert a.inertia_history == b.inertia_history
+                assert a.iters_run == b.iters_run
+        assert seen, "no tie row reached the direct recheck"
+        big32 = big_norms.astype(np.float32)
+        assert np.isinf(np.einsum("ij,ij->i", big32, big32)).all()
 
 
 class TestUnitOps:
