@@ -20,6 +20,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .fileio import read_two_columns
+
 
 class BalanceError(ValueError):
     pass
@@ -132,31 +134,20 @@ def sample_schedule(dist: SamplingDistribution, pools: Mapping[str, Sequence[str
 def read_counts_tsv(path: str | Path) -> LanguageCounts:
     """Two-column TSV ``lang<TAB>n``; a non-numeric first data row is a header."""
     entries = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        cols = raw.split("\t")
-        if len(cols) != 2:
-            raise BalanceError(f"line {lineno}: expected 2 columns, got {len(cols)}")
+    for lineno, lang, count in read_two_columns(path, BalanceError):
         try:
-            value = float(cols[1])
+            value = float(count)
         except ValueError:
             if lineno == 1:
                 continue
-            raise BalanceError(f"line {lineno}: unparsable count {cols[1]!r}") from None
-        entries.append((cols[0], value))
+            raise BalanceError(f"{path}:{lineno}: unparsable count {count!r}") from None
+        entries.append((lang, value))
     return LanguageCounts(entries=tuple(entries))
 
 
 def read_pools_tsv(path: str | Path) -> dict[str, list[str]]:
     """Two-column TSV ``lang<TAB>id``, one pool member per line."""
     pools: dict[str, list[str]] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not raw.strip():
-            continue
-        cols = raw.split("\t")
-        if len(cols) != 2:
-            raise BalanceError(f"line {lineno}: expected 2 columns, got {len(cols)}")
-        pools.setdefault(cols[0], []).append(cols[1])
+    for _, lang, item in read_two_columns(path, BalanceError):
+        pools.setdefault(lang, []).append(item)
     return pools

@@ -8,9 +8,11 @@ without pulling them into this package. Two endpoint schemes exist:
   ``fail``); any other value is read as a two-column TSV lookup table
   mapping input line to output line. Mocks are called directly and
   never cached.
-* ``exec:COMMAND`` - an external command speaking a line protocol: one
-  input string per line on stdin, one output string per line on stdout,
-  line-aligned.
+* ``exec:COMMAND`` - an external command speaking a line protocol in
+  UTF-8, whatever the locale: one input string per line on stdin, one
+  output string per line on stdout, line-aligned. Its reply is split by
+  the package's line rule (``fileio.split_lines``); a reply that is not
+  UTF-8 fails every input of the call.
 
 Given a cache directory, ``exec:`` outputs are cached in a
 content-addressed on-disk store keyed by (kind, name, endpoint, input),
@@ -35,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 
 from .corpus import TSV_COLUMNS, Manifest, Utterance, get_field, set_field
 from .evalbleu import TOKENIZER_TAGS, tokenize
-from .fileio import write_file
+from .fileio import read_two_columns, split_lines, write_file
 
 # each filter kind's params and their defaults; a param's type is its default's
 _FILTER_DEFAULTS: dict[str, dict[str, object]] = {
@@ -129,15 +131,7 @@ class Adapter:
     def _load_table(path: Path) -> dict[str, str]:
         if not path.exists():
             raise CascadeError(f"mock table {path} does not exist")
-        table = {}
-        for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-            if not raw:
-                continue
-            cols = raw.split("\t")
-            if len(cols) != 2:
-                raise CascadeError(f"{path}:{lineno}: mock table rows need 2 columns")
-            table[cols[0]] = cols[1]
-        return table
+        return {key: value for _, key, value in read_two_columns(path, CascadeError)}
 
     # cache (exec: only) ---------------------------------------------------------
 
@@ -148,8 +142,8 @@ class Adapter:
 
     def _cache_get(self, line: str) -> str | None:
         try:
-            with open(self._cache_path(line), encoding="utf-8") as fh:
-                return fh.read()
+            with open(self._cache_path(line), "rb") as fh:
+                return fh.read().decode("utf-8")
         except (FileNotFoundError, NotADirectoryError):
             return None
 
@@ -180,15 +174,17 @@ class Adapter:
         return outputs
 
     def _run_exec(self, lines: list[str]) -> list[str] | None:
-        """One child process over ``lines``; ``None`` if it fails."""
+        """One child process over ``lines``, spoken to in UTF-8 whatever the
+        locale; ``None`` if it fails or replies with bytes that are not UTF-8."""
         proc = subprocess.run(
-            self._command, input="\n".join(lines) + "\n",
-            capture_output=True, text=True)
+            self._command, input=("\n".join(lines) + "\n").encode("utf-8"),
+            capture_output=True)
         if proc.returncode != 0:
             return None
-        produced = proc.stdout.split("\n")
-        if produced and produced[-1] == "":
-            produced.pop()
+        try:
+            produced = split_lines(proc.stdout.decode("utf-8"))
+        except UnicodeDecodeError:
+            return None
         if len(produced) != len(lines):
             return None  # line misalignment: cannot attribute outputs safely
         return produced

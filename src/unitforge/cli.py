@@ -19,11 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import balance, cascade, corpus, embed, mine, quantize
 from . import evalbleu
-from .fileio import write_file
+from .fileio import read_lines, read_two_columns, write_file
 from .quantize import read_unit_lines, write_unit_lines
 
 _VALIDATION_ERRORS = (
@@ -104,7 +103,7 @@ def _cmd_units_ctc_collapse(args) -> int:
     collapsed = [
         quantize.ctc_collapse(list(map(int, line.split())), blank=args.blank,
                               vocab_size=args.vocab_size)
-        for line in _read_lines(args.infile)]
+        for line in read_lines(args.infile)]
     write_unit_lines(collapsed, args.out)
     return 0
 
@@ -154,22 +153,10 @@ def _cmd_mine_filter_overlap(args) -> int:
     return 0
 
 
-def _read_gold_tsv(path: str) -> dict[str, str]:
-    gold = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not raw.strip():
-            continue
-        cols = raw.split("\t")
-        if len(cols) != 2:
-            raise mine.MiningError(f"{path}:{lineno}: expected 2 columns")
-        gold[cols[0]] = cols[1]
-    return gold
-
-
 def _cmd_mine_simsearch_eval(args) -> int:
     audio = _load_side(args.audio, not args.no_normalize)
     text = _load_side(args.text, not args.no_normalize)
-    gold = _read_gold_tsv(args.gold)
+    gold = {aid: tid for _, aid, tid in read_two_columns(args.gold, mine.MiningError)}
     rate = mine.simsearch_error_rate(audio, text, gold, k_nn=args.knn, threads=args.threads)
     report = {
         "total": audio.rows,
@@ -199,13 +186,9 @@ def _cmd_balance(args) -> int:
     return 0
 
 
-def _read_lines(path: str) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
-
-
 def _cmd_bleu(args) -> int:
-    hyps = evalbleu.tokenize_corpus(_read_lines(args.hyp), args.tokenizer)
-    refs = evalbleu.tokenize_corpus(_read_lines(args.ref), args.tokenizer)
+    hyps = evalbleu.tokenize_corpus(read_lines(args.hyp), args.tokenizer)
+    refs = evalbleu.tokenize_corpus(read_lines(args.ref), args.tokenizer)
     report = evalbleu.corpus_bleu(hyps, refs, smoothing=args.smoothing)
     _write_json(report.to_dict(), args.out, args.stdout, default_name="bleu.json")
     return 0

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from .fileio import write_file
+from .fileio import read_lines, write_file
 
 
 TSV_COLUMNS = ("id", "lang", "audio", "duration_s", "speaker", "text", "units")
@@ -147,13 +147,11 @@ def read_manifest(path: str | Path, fmt: str | None = None) -> Manifest:
 
 
 def _read_tsv(path: Path) -> Manifest:
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    lines = read_lines(path)
+    first = next(lines, None)
+    if first is None:
         raise ManifestError("empty TSV manifest: missing header", 1)
-    header = lines[0].split("\t")
+    header = first.split("\t")
     if "id" not in header:
         raise ManifestError("TSV header must contain an 'id' column", 1)
     if len(set(header)) != len(header):
@@ -161,7 +159,7 @@ def _read_tsv(path: Path) -> Manifest:
 
     records = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in enumerate(lines, start=2):
         cols = raw.split("\t")
         if len(cols) != len(header):
             raise ManifestError(
@@ -197,59 +195,58 @@ def _read_tsv(path: Path) -> Manifest:
 def _read_jsonl(path: Path) -> Manifest:
     records = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"invalid JSON: {exc.msg}", lineno) from None
-            if not isinstance(obj, dict):
-                raise ManifestError("each JSONL line must be an object", lineno)
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ManifestError(f"invalid JSON: {exc.msg}", lineno) from None
+        if not isinstance(obj, dict):
+            raise ManifestError("each JSONL line must be an object", lineno)
 
-            rec_id = obj.pop("id", None)
-            if not isinstance(rec_id, str) or not rec_id:
-                raise ManifestError("missing or empty 'id'", lineno)
-            if rec_id in seen:
-                raise ManifestError(f"duplicate utterance id {rec_id!r}", lineno)
-            seen.add(rec_id)
+        rec_id = obj.pop("id", None)
+        if not isinstance(rec_id, str) or not rec_id:
+            raise ManifestError("missing or empty 'id'", lineno)
+        if rec_id in seen:
+            raise ManifestError(f"duplicate utterance id {rec_id!r}", lineno)
+        seen.add(rec_id)
 
-            duration = obj.pop("duration_s", None)
-            if duration is not None and (isinstance(duration, bool)
-                                         or not isinstance(duration, (int, float))):
-                raise ManifestError(f"unparsable duration {duration!r}", lineno)
-            units = obj.pop("units", None)
-            if units is not None:
-                if not isinstance(units, list) or not all(
-                        isinstance(u, int) and not isinstance(u, bool) for u in units):
-                    raise ManifestError("units must be a list of integers", lineno)
-                units = tuple(units)
-            for key in ("lang", "audio", "speaker", "text"):
-                if not isinstance(obj.get(key), (str, type(None))):
-                    raise ManifestError(f"{key!r} must be a string or null", lineno)
+        duration = obj.pop("duration_s", None)
+        if duration is not None and (isinstance(duration, bool)
+                                     or not isinstance(duration, (int, float))):
+            raise ManifestError(f"unparsable duration {duration!r}", lineno)
+        units = obj.pop("units", None)
+        if units is not None:
+            if not isinstance(units, list) or not all(
+                    isinstance(u, int) and not isinstance(u, bool) for u in units):
+                raise ManifestError("units must be a list of integers", lineno)
+            units = tuple(units)
+        for key in ("lang", "audio", "speaker", "text"):
+            if not isinstance(obj.get(key), (str, type(None))):
+                raise ManifestError(f"{key!r} must be a string or null", lineno)
 
-            extra = {}
-            for key in sorted(k for k in obj if k not in ("lang", "audio", "speaker", "text")):
-                value = obj.pop(key)
-                if isinstance(value, (dict, list)):
-                    raise ManifestError(f"nested value not allowed for field {key!r}", lineno)
-                extra[key] = value if isinstance(value, str) else json.dumps(value)
+        extra = {}
+        for key in sorted(k for k in obj if k not in ("lang", "audio", "speaker", "text")):
+            value = obj.pop(key)
+            if isinstance(value, (dict, list)):
+                raise ManifestError(f"nested value not allowed for field {key!r}", lineno)
+            extra[key] = value if isinstance(value, str) else json.dumps(value)
 
-            try:
-                records.append(Utterance(
-                    id=rec_id,
-                    lang=obj.get("lang", "") or "",
-                    audio_ref=obj.get("audio"),
-                    duration_s=duration,
-                    speaker=obj.get("speaker"),
-                    text=obj.get("text"),
-                    units=units,
-                    extra=extra,
-                ))
-            except ManifestError as exc:
-                raise ManifestError(str(exc), lineno) from None
+        try:
+            records.append(Utterance(
+                id=rec_id,
+                lang=obj.get("lang", "") or "",
+                audio_ref=obj.get("audio"),
+                duration_s=duration,
+                speaker=obj.get("speaker"),
+                text=obj.get("text"),
+                units=units,
+                extra=extra,
+            ))
+        except ManifestError as exc:
+            raise ManifestError(str(exc), lineno) from None
     return Manifest(records=tuple(records))
 
 

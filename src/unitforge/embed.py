@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 import numpy as np
 
-from .fileio import write_file
+from .fileio import read_lines, write_file
 
 EMB1_MAGIC = b"EMB1"
 _NORMALIZE_BLOCK = 256  # rows per float64 block in l2_normalize
@@ -72,9 +72,14 @@ def write_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
     """Write ``path`` in EMB1; the ``.ids`` sidecar is written, or removed
     when the matrix has no ids, so a reader never pairs it with old ids."""
     ids_path = f"{path}.ids"
-    # encoded first, so an unencodable id fails before either file changes
-    encoded_ids = None if matrix.ids is None else (
-        "\n".join(matrix.ids) + ("\n" if matrix.ids else "")).encode("utf-8")
+    # checked and encoded first, so a bad id fails before either file changes
+    encoded_ids = None
+    if matrix.ids is not None:
+        for row_id in matrix.ids:
+            if "\n" in row_id or "\r" in row_id:
+                raise EmbeddingError(f"id {row_id!r} contains a line break; "
+                                     "not representable in the ids sidecar")
+        encoded_ids = ("\n".join(matrix.ids) + ("\n" if matrix.ids else "")).encode("utf-8")
     write_file(path, EMB1_MAGIC + struct.pack("<II", matrix.rows, matrix.dim),
                matrix.data.astype("<f4", copy=False))
     if encoded_ids is None:
@@ -86,22 +91,27 @@ def write_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
 
 def read_embeddings(path: str | Path) -> EmbeddingMatrix:
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[:4] != EMB1_MAGIC:
-        raise EmbeddingError(f"{path}: not an EMB1 file (bad magic)")
-    if len(blob) < 12:
-        raise EmbeddingError(f"{path}: truncated EMB1 header")
-    rows, dim = struct.unpack("<II", blob[4:12])
-    expected = 12 + rows * dim * 4
-    if len(blob) != expected:
-        raise EmbeddingError(f"{path}: expected {expected} bytes for {rows}x{dim}, got {len(blob)}")
-    data = np.frombuffer(blob, dtype="<f4", offset=12).reshape(rows, dim).copy()
+    with open(path, "rb") as fh:
+        header = fh.read(12)
+        if header[:4] != EMB1_MAGIC:
+            raise EmbeddingError(f"{path}: not an EMB1 file (bad magic)")
+        if len(header) < 12:
+            raise EmbeddingError(f"{path}: truncated EMB1 header")
+        rows, dim = struct.unpack("<II", header[4:])
+        expected = 12 + rows * dim * 4
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise EmbeddingError(f"{path}: expected {expected} bytes for {rows}x{dim}, got {size}")
+        # the payload is read straight into the array: one copy, no bytes object
+        data = np.empty((rows, dim), dtype="<f4")
+        got = 12 + fh.readinto(data)
+        if got != expected:  # the file shrank after fstat
+            raise EmbeddingError(f"{path}: expected {expected} bytes for {rows}x{dim}, got {got}")
 
     ids = None
     ids_path = Path(str(path) + ".ids")
     if ids_path.exists():
-        text = ids_path.read_text(encoding="utf-8")
-        ids = tuple(text.splitlines())
+        ids = tuple(read_lines(ids_path))
     return EmbeddingMatrix(data=data, ids=ids)
 
 

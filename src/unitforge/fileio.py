@@ -1,17 +1,59 @@
-"""The one write path for every file the package produces.
+"""How the package reads text files and writes every output file.
 
-``write_file`` writes to a hidden temporary file ``.NAME.<random>.tmp``
-in the target's directory and renames it over the target, so the target
-holds either its old bytes or all of the new ones. A failed write
-removes the temporary file and leaves the old target in place. Nothing
-is fsynced. The target is replaced, not rewritten: a symlink at the path
-becomes a regular file, and the new file takes the mode that the umask
-gives a newly created one.
+Reading: ``read_lines`` (a file) and ``split_lines`` (text in memory) hold
+the one line rule. Text is strict UTF-8. A line ends at ``"\\n"`` or
+``"\\r\\n"`` and at no other character, so U+2028, U+0085, ``\\v``,
+``\\f`` and a lone ``\\r`` are data. A final line end adds no empty line.
+
+Writing: ``write_file`` writes to a hidden temporary file
+``.NAME.<random>.tmp`` in the target's directory and renames it over the
+target, so the target holds either its old bytes or all of the new ones.
+A failed write removes the temporary file and leaves the old target in
+place. Nothing is fsynced. The target is replaced, not rewritten: a
+symlink at the path becomes a regular file, and the new file takes the
+mode that the umask gives a newly created one.
 """
 
 from __future__ import annotations
 
+import io
 import os
+from typing import Callable, Iterable, Iterator
+
+
+def _lines(stream: Iterable[str]) -> Iterator[str]:
+    """Lines of a stream opened with ``newline="\\n"``, line ends removed."""
+    for line in stream:
+        if line.endswith("\r\n"):
+            yield line[:-2]
+        elif line.endswith("\n"):
+            yield line[:-1]
+        else:
+            yield line
+
+
+def read_lines(path: str | os.PathLike) -> Iterator[str]:
+    """The lines of the UTF-8 text file ``path``, one at a time."""
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        yield from _lines(fh)
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``, split as :func:`read_lines` splits a file."""
+    return list(_lines(io.StringIO(text, newline="\n")))
+
+
+def read_two_columns(path: str | os.PathLike,
+                     error: Callable[[str], Exception]) -> Iterator[tuple[int, str, str]]:
+    """``(line number, first, second)`` for each line of a two-column TSV;
+    a line of whitespace only is skipped, any other without one tab raises ``error``."""
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        cols = line.split("\t")
+        if len(cols) != 2:
+            raise error(f"{path}:{lineno}: expected 2 tab-separated columns, got {len(cols)}")
+        yield lineno, cols[0], cols[1]
 
 
 def write_file(path: str | os.PathLike, *parts) -> None:

@@ -29,9 +29,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Segment
+from .corpus import Segment, _check_tsv_field
 from .embed import EmbeddingMatrix, cosine_block, rows_with_norms
-from .fileio import write_file
+from .fileio import read_lines, write_file
 from .parallel import chunk_ranges, map_chunks
 
 
@@ -403,16 +403,18 @@ def write_pairs(pairs: Sequence[MinedPair], path: str | Path) -> None:
                 row.extend(["", "", ""])
             else:
                 row.extend([seg.audio_id, repr(seg.start_s), repr(seg.end_s)])
+        for col in (1, 2, 3, 6):  # the text columns: ids and audio ids
+            _check_tsv_field(row[col], PAIRS_HEADER[col], p.src_id)
         lines.append("\t".join(row))
     write_file(path, "\n".join(lines) + "\n")
 
 
 def read_pairs(path: str | Path) -> list[MinedPair]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or tuple(lines[0].split("\t")) != PAIRS_HEADER:
+    lines = read_lines(path)
+    if tuple(next(lines, "").split("\t")) != PAIRS_HEADER:
         raise MiningError(f"{path}: missing or invalid pairs header")
     pairs = []
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in enumerate(lines, start=2):
         cols = raw.split("\t")
         if len(cols) != len(PAIRS_HEADER):
             raise MiningError(f"{path}:{lineno}: expected {len(PAIRS_HEADER)} columns")

@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import embed
-from .fileio import write_file
+from .fileio import read_lines, write_file
 from .parallel import chunk_ranges, map_chunks
 
 
@@ -229,10 +229,17 @@ def _direct_d2(features: np.ndarray, cents: np.ndarray, rows: np.ndarray | None 
     out = np.empty(n)
     for lo in range(0, n, _DIRECT_BLOCK):
         block = slice(lo, lo + _DIRECT_BLOCK)
-        c = cents if cols is None else cents[cols[block]]
-        # a gathered c is a fresh copy, so the difference may overwrite it
-        diff = np.subtract(features[block if rows is None else rows[block]], c,
-                           out=None if cols is None else c)
+        x = features[block] if rows is None else features[rows[block]]
+        # a gathered c, or gathered rows as float64, are fresh copies that
+        # the difference may overwrite
+        if cols is not None:
+            c = cents[cols[block]]
+            diff = np.subtract(x, c, out=c)
+        elif rows is not None:
+            diff = x.astype(np.float64, copy=False)
+            diff -= cents
+        else:
+            diff = x - cents
         out[block] = np.square(diff, out=diff).sum(axis=1)
     return out
 
@@ -454,7 +461,7 @@ def read_codebook(path: str | Path) -> Codebook:
     iters_run = None
     final_inertia = None
     if meta_path.exists():
-        lines = meta_path.read_text(encoding="utf-8").splitlines()
+        lines = list(read_lines(meta_path))
         if not lines:
             raise QuantizeError(f"codebook sidecar {meta_path} is empty")
         meta = json.loads(lines[0])
@@ -478,15 +485,10 @@ def read_codebook(path: str | Path) -> Codebook:
 
 def read_unit_lines(path: str | Path, vocab_size: int | None = None) -> list[UnitSequence]:
     """Read one unit sequence per line (space-separated decimal ids)."""
-    sequences = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    parsed = [tuple(map(int, line.split())) for line in lines]
+    parsed = [tuple(map(int, line.split())) for line in read_lines(path)]
     if vocab_size is None:
-        peak = max((max(units) for units in parsed if units), default=0)
-        vocab_size = peak + 1
-    for units in parsed:
-        sequences.append(UnitSequence(vocab_size=vocab_size, units=units))
-    return sequences
+        vocab_size = max((max(units) for units in parsed if units), default=0) + 1
+    return [UnitSequence(vocab_size=vocab_size, units=units) for units in parsed]
 
 
 def write_unit_lines(sequences: Iterable[UnitSequence], path: str | Path) -> None:

@@ -3,13 +3,17 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import unitforge
 from unitforge.cascade import (
     AdapterError, CascadeError, PipelineSpec,
     filter_code_switch, filter_min_length, get_field, levenshtein,
@@ -18,6 +22,8 @@ from unitforge.cascade import (
 from unitforge import corpus
 from unitforge.corpus import TSV_COLUMNS, Manifest, ManifestError, Utterance
 from unitforge.evalbleu import BleuError
+
+SRC = Path(unitforge.__file__).resolve().parent.parent
 
 
 @functools.lru_cache(maxsize=None)
@@ -358,6 +364,42 @@ class TestAdapters:
         # the child is not started when no input can be sent
         assert adapter.try_run(["only\nbreaks"]) == [None]
         assert len(child.runs()) == 2
+
+    def test_reply_split_by_the_line_rule(self, tmp_path):
+        script = tmp_path / "reply.py"
+        script.write_text("import sys\nsys.stdin.buffer.read()\n"
+                          "sys.stdout.buffer.write('a\\rb\\r\\nc\\u2028d\\n'.encode())\n")
+        endpoint = f"exec:{sys.executable} {script}"
+        assert make_adapter("mt", "r", endpoint).try_run(["x", "y"]) == ["a\rb", "c\u2028d"]
+        cached = make_adapter("mt", "r", endpoint, cache_dir=tmp_path / "cache")
+        for _ in range(2):  # cold, then warm: the cache keeps the lone CR
+            assert cached.try_run(["x", "y"]) == ["a\rb", "c\u2028d"]
+
+    def test_reply_that_is_not_utf8_is_an_adapter_error(self, tmp_path):
+        script = tmp_path / "bad.py"
+        script.write_text("import sys\nsys.stdin.buffer.read()\n"
+                          "sys.stdout.buffer.write(b'ok\\n\\xff\\n')\n")
+        spec = PipelineSpec.from_dict({
+            "adapters": {"mt": f"exec:{sys.executable} {script}"},
+            "stages": [{"adapter": "mt", "in": "text", "out": "zh"}],
+        })
+        adapters = adapters_for(spec, cache_dir=tmp_path / "cache")
+        assert adapters["mt"].try_run(["a", "b"]) == [None, None]
+        out, report = run_cascade(man("a", "b", "c"), spec, adapters)
+        assert len(out) == 0 and report.adapter_error_drops == 3
+        assert report.output_count + report.adapter_error_drops == report.input_count == 3
+        assert not (tmp_path / "cache").exists()
+
+    def test_utf8_whatever_the_locale(self):
+        code = ("from unitforge.cascade import make_adapter\n"
+                "print(ascii(make_adapter('mt', 'cat', 'exec:cat').try_run(['T\\xe2i-l\\xf4'])))")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONUTF8", "PYTHONIOENCODING") and not k.startswith("LC_")}
+        env.update(LC_ALL="C", PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-X", "utf8=0", "-c", code],
+                              capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        assert proc.stdout.decode() == ascii(["T\xe2i-l\xf4"]) + "\n"
 
 
 class TestRunCascade:

@@ -209,6 +209,14 @@ class TestOutputs:
                          "--tokenizer", "word13a", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["bleu"] == pytest.approx(100.0)
 
+    def test_bleu_line_holding_next_line_is_one_segment(self, tmp_path):
+        (tmp_path / "hyp.txt").write_bytes("the cat\u0085sat\na dog\n".encode())
+        (tmp_path / "ref.txt").write_bytes(b"the cat sat\na dog\n")
+        out = tmp_path / "bleu.json"
+        assert dispatch(["bleu", "--hyp", str(tmp_path / "hyp.txt"),
+                         "--ref", str(tmp_path / "ref.txt"), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["hyp_len"] == 5
+
     def test_full_matrix_runs_green(self, workspace, tmp_path):
         outputs = run_all(workspace, tmp_path / "out", threads=1)
         assert "cb.emb" in outputs and "report.json" in outputs

@@ -84,6 +84,13 @@ class TestReadTsv:
         with pytest.raises(ManifestError, match="line 2"):
             read_manifest(path)
 
+    def test_crlf_line_end_not_kept_in_last_column(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_bytes(b"id\ttext\tnote\r\nu1\thello\tx\r\nu2\t\t\r\n")
+        m = read_manifest(path)
+        assert [(r.id, r.text, r.extra) for r in m] == [("u1", "hello", {"note": "x"}),
+                                                       ("u2", None, {})]
+
     def test_bad_duration_cites_line(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text("id\tlang\taudio\tduration_s\tspeaker\ttext\tunits\n"
@@ -155,6 +162,11 @@ class TestReadJsonl:
         assert str(info.value) == f"line 2: {field!r} must be a string or null"
         path.write_text(f'{{"id":"a","{field}":null}}\n')
         assert get_field(read_manifest(path).records[0], field) == ""
+
+    def test_lone_cr_is_json_whitespace(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(b'{"id": "a",\r"text": "x"}\n')
+        assert [(r.id, r.text) for r in read_manifest(path)] == [("a", "x")]
 
     def test_boolean_duration_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"

@@ -60,6 +60,33 @@ class TestEmb1Format:
         assert read_embeddings(path).data.tolist() == [[5.0]]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.emb"]
 
+    @pytest.mark.parametrize("bad", ["a\nb", "a\rb", "a\r\n"])
+    def test_line_break_in_id_rejected_before_any_write(self, tmp_path, bad):
+        path = tmp_path / "x.emb"
+        write_embeddings(make_matrix([[1.0], [2.0]], ids=("p", "q")), path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(EmbeddingError, match="line break"):
+            write_embeddings(make_matrix([[3.0], [4.0]], ids=(bad, "c")), path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_read_holds_one_copy_of_the_payload(self, rng, tmp_path):
+        m = make_matrix(rng.normal(size=(2000, 256)))
+        write_embeddings(m, tmp_path / "x.emb")
+        tracemalloc.start()
+        try:
+            loaded = read_embeddings(tmp_path / "x.emb")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.data.tobytes() == m.data.tobytes()
+        assert peak < 1.5 * m.data.nbytes
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "x.emb"
+        path.write_bytes(b"EMB1" + bytes(7))
+        with pytest.raises(EmbeddingError, match="truncated EMB1 header"):
+            read_embeddings(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.emb"
         path.write_bytes(b"NOPE" + bytes(8))
@@ -68,9 +95,11 @@ class TestEmb1Format:
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "x.emb"
-        path.write_bytes(b"EMB1" + (2).to_bytes(4, "little") + (2).to_bytes(4, "little") + bytes(4))
-        with pytest.raises(EmbeddingError, match="expected"):
-            read_embeddings(path)
+        header = b"EMB1" + (2).to_bytes(4, "little") + (2).to_bytes(4, "little")
+        for payload, size in ((bytes(4), 16), (bytes(20), 32)):
+            path.write_bytes(header + payload)
+            with pytest.raises(EmbeddingError, match=f"expected 28 bytes for 2x2, got {size}"):
+                read_embeddings(path)
 
 
 class TestMaxPool:

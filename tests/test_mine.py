@@ -9,7 +9,7 @@ import pytest
 
 from conftest import make_matrix, random_matrix
 from unitforge import mine
-from unitforge.corpus import Segment
+from unitforge.corpus import ManifestError, Segment
 from unitforge.embed import EmbeddingMatrix, cosine_block
 from unitforge.mine import (
     Direction, Margin, MinedPair, MiningError, NeighborList,
@@ -750,6 +750,19 @@ class TestPairsIO:
         path = tmp_path / "pairs.tsv"
         write_pairs(pairs, path)
         assert read_pairs(path) == pairs
+
+    @pytest.mark.parametrize("pair, column", [
+        (MinedPair("a\tb", "t", 1.0), "src_id"),
+        (MinedPair("s", "t\nu", 1.0), "tgt_id"),
+        (MinedPair("s", "t", 1.0, tgt_segment=seg("B\r", 0.0, 1.0)), "tgt_audio"),
+    ])
+    def test_writer_refuses_what_the_reader_cannot_read(self, tmp_path, pair, column):
+        path = tmp_path / "pairs.tsv"
+        path.write_bytes(b"old")
+        with pytest.raises(ManifestError, match=column):
+            write_pairs([MinedPair("s0", "t0", 2.0), pair], path)
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["pairs.tsv"]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "pairs.tsv"

@@ -279,6 +279,23 @@ class TestExactKernel:
         expected = oracle_dists(feats, cents)[np.arange(n), labels]
         np.testing.assert_array_equal(dists, expected)
 
+    @pytest.mark.parametrize("dtype, blocks", [(np.float64, 1), (np.float32, 1.5)])
+    def test_gathered_rows_hold_one_float64_block(self, rng, dtype, blocks):
+        # seeding's direct pass over chosen rows: the difference overwrites
+        # the float64 rows it gathered, so no second block is allocated
+        block, dim = quantize._DIRECT_BLOCK, 768
+        feats = rng.normal(size=(2 * block, dim)).astype(dtype)
+        c = rng.normal(size=dim)
+        rows = np.arange(1, 2 * block, 2)
+        tracemalloc.start()
+        try:
+            dists = quantize._direct_d2(feats, c, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(dists, ((feats[rows] - c) ** 2).sum(axis=1))
+        assert peak < (blocks + 0.25) * block * dim * 8
+
     def test_non_finite_and_huge_rows_match_argmin(self, rng):
         cents = rng.normal(size=(6, 4)).astype(np.float32)
         feats = rng.normal(size=(5, 4))
