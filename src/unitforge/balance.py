@@ -134,11 +134,11 @@ def sample_schedule(dist: SamplingDistribution, pools: Mapping[str, Sequence[str
 def read_counts_tsv(path: str | Path) -> LanguageCounts:
     """Two-column TSV ``lang<TAB>n``; a non-numeric first data row is a header."""
     entries = []
-    for lineno, lang, count in read_two_columns(path, BalanceError):
+    for row, (lineno, lang, count) in enumerate(read_two_columns(path, BalanceError)):
         try:
             value = float(count)
         except ValueError:
-            if lineno == 1:
+            if row == 0:
                 continue
             raise BalanceError(f"{path}:{lineno}: unparsable count {count!r}") from None
         entries.append((lang, value))

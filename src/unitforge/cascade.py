@@ -19,7 +19,8 @@ content-addressed on-disk store keyed by (kind, name, endpoint, input),
 so re-running a cascade over a large manifest only recomputes misses,
 and an adapter pointed at a new endpoint never serves the old
 endpoint's outputs. Cache writes are atomic (``fileio.write_file``). An
-input containing a line break fails on both schemes.
+input containing a line break, or one that UTF-8 cannot encode (a lone
+surrogate), fails on both schemes.
 """
 
 from __future__ import annotations
@@ -85,8 +86,15 @@ def _fail_mock(substring: str) -> Callable[[str], str | None]:
 
 
 def _sendable(line: str) -> bool:
-    """Whether ``line`` is expressible in the line protocol."""
-    return "\n" not in line and "\r" not in line
+    """Whether ``line`` is expressible in the line protocol: one line of
+    text that UTF-8 can encode (a lone surrogate cannot be)."""
+    if "\n" in line or "\r" in line:
+        return False
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 @dataclass

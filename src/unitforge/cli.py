@@ -11,7 +11,9 @@ Conventions:
 * ``--seed`` and ``--threads`` go after the action (``quantize fit --seed 7``);
 * exit 0 on success, 1 on argument/validation errors, 2 on runtime
   failures;
-* ``--threads N`` never changes any output, for any N >= 1.
+* ``--threads N`` never changes any output, for any N >= 1;
+* handlers import the subsystems that need numpy themselves, so
+  ``--help``, ``manifest`` and ``cascade`` never load it.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ import argparse
 import json
 import sys
 
-from . import balance, cascade, corpus, embed, mine, quantize
-from . import evalbleu
+from . import cascade, corpus, evalbleu
 from .fileio import read_lines, read_two_columns, write_file
-from .quantize import read_unit_lines, write_unit_lines
 
 _VALIDATION_ERRORS = (
     ValueError,  # covers every module's *Error validation family
@@ -73,6 +73,8 @@ def _cmd_manifest_convert(args) -> int:
 
 
 def _cmd_quantize_fit(args) -> int:
+    from . import embed, quantize
+
     _log(f"seed: {args.seed}")
     features = embed.read_embeddings(args.infile)
     codebook = quantize.kmeans_fit(
@@ -85,30 +87,38 @@ def _cmd_quantize_fit(args) -> int:
 
 
 def _cmd_quantize_assign(args) -> int:
+    from . import embed, quantize
+
     codebook = quantize.read_codebook(args.codebook)
     features = embed.read_embeddings(args.infile)
     seq = quantize.assign_units(codebook, features.data, threads=args.threads)
-    write_unit_lines([seq], args.out)
+    quantize.write_unit_lines([seq], args.out)
     return 0
 
 
 def _cmd_units_dedup(args) -> int:
-    sequences = read_unit_lines(args.infile, args.vocab_size)
-    write_unit_lines([quantize.dedup_units(seq) for seq in sequences], args.out)
+    from . import quantize
+
+    sequences = quantize.read_unit_lines(args.infile, args.vocab_size)
+    quantize.write_unit_lines([quantize.dedup_units(seq) for seq in sequences], args.out)
     return 0
 
 
 def _cmd_units_ctc_collapse(args) -> int:
+    from . import quantize
+
     # without --vocab-size, ctc_collapse infers one per line covering units and blank
     collapsed = [
         quantize.ctc_collapse(list(map(int, line.split())), blank=args.blank,
                               vocab_size=args.vocab_size)
         for line in read_lines(args.infile)]
-    write_unit_lines(collapsed, args.out)
+    quantize.write_unit_lines(collapsed, args.out)
     return 0
 
 
 def _cmd_embed_pool(args) -> int:
+    from . import embed
+
     frames = embed.read_embeddings(args.infile)
     pooled = embed.max_pool(frames.data)
     embed.write_embeddings(embed.EmbeddingMatrix(data=pooled[None, :]), args.out)
@@ -116,6 +126,8 @@ def _cmd_embed_pool(args) -> int:
 
 
 def _cmd_embed_normalize(args) -> int:
+    from . import embed
+
     matrix = embed.read_embeddings(args.infile)
     normalized, zero_rows = embed.l2_normalize(matrix)
     embed.write_embeddings(normalized, args.out)
@@ -124,7 +136,9 @@ def _cmd_embed_normalize(args) -> int:
     return 0
 
 
-def _load_side(path: str, normalize: bool) -> embed.EmbeddingMatrix:
+def _load_side(path: str, normalize: bool):
+    from . import embed
+
     matrix = embed.read_embeddings(path)
     if normalize:
         matrix, zero_rows = embed.l2_normalize(matrix)
@@ -134,6 +148,8 @@ def _load_side(path: str, normalize: bool) -> embed.EmbeddingMatrix:
 
 
 def _cmd_mine_run(args) -> int:
+    from . import mine
+
     src = _load_side(args.src, not args.no_normalize)
     tgt = _load_side(args.tgt, not args.no_normalize)
     threshold = float("-inf") if args.threshold is None else args.threshold
@@ -146,6 +162,8 @@ def _cmd_mine_run(args) -> int:
 
 
 def _cmd_mine_filter_overlap(args) -> int:
+    from . import mine
+
     pairs = mine.read_pairs(args.infile)
     kept = mine.filter_overlap(pairs, max_overlap=args.max_overlap, side=args.side)
     mine.write_pairs(kept, args.out)
@@ -154,6 +172,8 @@ def _cmd_mine_filter_overlap(args) -> int:
 
 
 def _cmd_mine_simsearch_eval(args) -> int:
+    from . import mine
+
     audio = _load_side(args.audio, not args.no_normalize)
     text = _load_side(args.text, not args.no_normalize)
     gold = {aid: tid for _, aid, tid in read_two_columns(args.gold, mine.MiningError)}
@@ -169,6 +189,8 @@ def _cmd_mine_simsearch_eval(args) -> int:
 
 
 def _cmd_balance(args) -> int:
+    from . import balance
+
     if args.total is not None:
         if args.pools is None:
             raise balance.BalanceError("--total requires --pools")
@@ -309,9 +331,11 @@ def build_parser() -> _Parser:
     p.add_argument("--knn", type=int, default=4)
     p.add_argument("--threshold", type=float, default=None,
                    help="keep pairs scoring at least this (default: keep all)")
-    p.add_argument("--direction", choices=[d.value for d in mine.Direction],
+    # the values of mine.Direction and mine.Margin, spelled out so that
+    # parsing loads no numpy
+    p.add_argument("--direction", choices=("forward", "backward", "intersect"),
                    default="forward")
-    p.add_argument("--margin", choices=[m.value for m in mine.Margin], default="ratio")
+    p.add_argument("--margin", choices=("ratio", "distance", "absolute"), default="ratio")
     p.add_argument("--no-normalize", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_mine_run)

@@ -28,11 +28,12 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .corpus import Manifest
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TOKENIZER_TAGS = ("word13a", "char", "tailo_syllable", "tailo_initial_final")
 
@@ -210,7 +211,7 @@ class BleuReport:
         }
 
 
-_NO_KEY = np.iinfo(np.int64).max
+_NO_KEY = 2**63 - 1  # the int64 maximum
 _STATS_BLOCK = 256  # segments counted together; bounds the working memory
 
 
@@ -222,6 +223,8 @@ def _bleu_stats(hyps: TokenizedCorpus, refs: TokenizedCorpus, max_n: int) -> np.
     then the hypothesis length and the reference length. Rows depend on
     their own segment only, so blocks of segments are counted separately.
     """
+    import numpy as np
+
     stats = np.empty((len(hyps), 2 * max_n + 2), dtype=np.int64)
     for lo in range(0, len(hyps), _STATS_BLOCK):
         hi = lo + _STATS_BLOCK
@@ -231,6 +234,8 @@ def _bleu_stats(hyps: TokenizedCorpus, refs: TokenizedCorpus, max_n: int) -> np.
 
 def _block_stats(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]],
                  max_n: int) -> np.ndarray:
+    import numpy as np
+
     n_seg = len(hyps)
     hyp_lens = np.fromiter(map(len, hyps), np.int64, n_seg)
     ref_lens = np.fromiter(map(len, refs), np.int64, n_seg)

@@ -211,7 +211,7 @@ def _nearest(features: np.ndarray, centroids: np.ndarray, threads: int = 1) -> n
 
 
 # rows per direct-distance block
-_DIRECT_BLOCK = 256
+_DIRECT_BLOCK = 64
 
 
 def _direct_d2(features: np.ndarray, cents: np.ndarray, rows: np.ndarray | None = None,

@@ -171,6 +171,18 @@ class TestIO:
         path.write_text("en\t900\nhok\t100\n")
         assert read_counts_tsv(path).entries == (("en", 900.0), ("hok", 100.0))
 
+    def test_counts_tsv_header_after_blank_line(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text("\nlang\tn\nen\t900\nhok\t100\n")
+        assert read_counts_tsv(path).entries == (("en", 900.0), ("hok", 100.0))
+
+    def test_counts_tsv_non_numeric_later_row_names_its_line(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        for text, lineno in (("\nlang\tn\nen\tmany\n", 3), ("\nen\t900\nhok\tn\n", 3)):
+            path.write_text(text)
+            with pytest.raises(BalanceError, match=f"counts.tsv:{lineno}: unparsable count"):
+                read_counts_tsv(path)
+
     def test_pools_tsv(self, tmp_path):
         path = tmp_path / "pools.tsv"
         path.write_text("en\tu1\nen\tu2\nhok\tu3\n")

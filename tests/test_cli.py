@@ -101,6 +101,35 @@ class TestExitCodes:
         assert got["duplicate_id_drops"] == 1
         assert got["output_count"] + got["duplicate_id_drops"] == got["input_count"] == 2
 
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_cascade_unencodable_input_drops_only_its_record(self, tmp_path, cached):
+        # a JSON "\ud800" escape reads as a lone surrogate, which UTF-8 cannot
+        # encode for the child's stdin or for the cache key
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text('{"id": "u0", "lang": "en", "text": "\\ud800"}\n'
+                            '{"id": "u1", "lang": "en", "text": "hello"}\n', encoding="utf-8")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "adapters": {"mt": "mock:identity"},
+            "stages": [{"adapter": "mt", "in": "text", "out": "translation"}]}))
+        out, report = tmp_path / "out.jsonl", tmp_path / "report.json"
+        cache = ["--cache-dir", str(tmp_path / "cache")] if cached else []
+        code = dispatch(["cascade", "run", "--spec", str(spec), "--in", str(manifest),
+                         "--out", str(out), "--report", str(report),
+                         "--adapter", "mt=exec:cat", *cache])
+        assert code == 0
+        rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert [(r["id"], r["translation"]) for r in rows] == [("u1", "hello")]
+        got = json.loads(report.read_text())
+        assert got["adapter_error_drops"] == 1
+        assert got["output_count"] + got["adapter_error_drops"] == got["input_count"] == 2
+
+    def test_mine_choices_are_the_enum_values(self, capsys):
+        assert dispatch(["mine", "run", "--help"]) == 0
+        usage = capsys.readouterr().out
+        for enum in (mine.Direction, mine.Margin):
+            assert "{" + ",".join(e.value for e in enum) + "}" in usage
+
     def test_cascade_ignores_cache_env_var(self, tmp_path, monkeypatch):
         # only --cache-dir enables the cache; UNITFORGE_CACHE_DIR is not read
         ambient = tmp_path / "ambient"

@@ -296,6 +296,17 @@ class TestExactKernel:
         np.testing.assert_array_equal(dists, ((feats[rows] - c) ** 2).sum(axis=1))
         assert peak < (blocks + 0.25) * block * dim * 8
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_sum_the_same_in_any_caller_layout(self, rng, dtype):
+        # seeding's first full pass reads the rows as the input rule left
+        # them; a Fortran-ordered block would sum each row in another order
+        scale = 10.0 ** rng.uniform(-6, 6, size=(300, 1))
+        x = (rng.normal(size=(300, 768)) * scale).astype(dtype)
+        c = rng.normal(size=768)
+        expected = quantize._direct_d2(quantize._rows(x), c)
+        got = quantize._direct_d2(quantize._rows(np.asfortranarray(x)), c)
+        assert got.tobytes() == expected.tobytes()
+
     def test_non_finite_and_huge_rows_match_argmin(self, rng):
         cents = rng.normal(size=(6, 4)).astype(np.float32)
         feats = rng.normal(size=(5, 4))
