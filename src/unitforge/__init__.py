@@ -31,7 +31,7 @@ _EXPORTS = {
                  "tailo_split_syllable", "tokenize", "tokenize_corpus"),
     "fileio": (),
     "mine": ("Direction", "Margin", "MinedPair", "NeighborList", "filter_overlap", "knn",
-             "margin_score", "mine_pairs", "simsearch_error_rate"),
+             "mine_pairs", "simsearch_error_rate"),
     "parallel": (),
     "quantize": ("Codebook", "UnitSequence", "assign_units", "ctc_collapse", "dedup_units",
                  "kmeans_fit"),

@@ -205,6 +205,12 @@ def _read_jsonl(path: Path) -> Manifest:
             raise ManifestError(f"invalid JSON: {exc.msg}", lineno) from None
         if not isinstance(obj, dict):
             raise ManifestError("each JSONL line must be an object", lineno)
+        if "\\u" in raw:  # only a \u escape can bring a lone surrogate past strict UTF-8
+            try:
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
+                raise ManifestError("lone surrogate in a string; UTF-8 cannot encode it",
+                                    lineno) from None
 
         rec_id = obj.pop("id", None)
         if not isinstance(rec_id, str) or not rec_id:

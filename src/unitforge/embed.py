@@ -23,7 +23,7 @@ import numpy as np
 from .fileio import read_lines, write_file
 
 EMB1_MAGIC = b"EMB1"
-_NORMALIZE_BLOCK = 256  # rows per float64 block in l2_normalize
+_BLOCK = 256  # rows per float64 block in l2_normalize and row_norms
 
 
 class EmbeddingError(ValueError):
@@ -134,13 +134,13 @@ def l2_normalize(matrix: EmbeddingMatrix) -> tuple[EmbeddingMatrix, int]:
     data = matrix.data
     normalized = np.empty_like(data)
     zero_rows = 0
-    for start in range(0, data.shape[0], _NORMALIZE_BLOCK):
-        rows = data[start:start + _NORMALIZE_BLOCK].astype(np.float64)
+    for start in range(0, data.shape[0], _BLOCK):
+        rows = data[start:start + _BLOCK].astype(np.float64)
         norms = np.linalg.norm(rows, axis=1)
         zero = norms == 0.0
         zero_rows += int(np.count_nonzero(zero))
         rows /= np.where(zero, 1.0, norms)[:, None]
-        normalized[start:start + _NORMALIZE_BLOCK] = rows
+        normalized[start:start + _BLOCK] = rows
     return EmbeddingMatrix(data=normalized, ids=matrix.ids), zero_rows
 
 
@@ -149,18 +149,27 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(cosine_matrix(np.reshape(a, (1, -1)), np.reshape(b, (1, -1)))[0, 0])
 
 
-def rows_with_norms(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows as float64 plus their L2 norms; a zero row raises ZeroVectorError."""
-    rows = np.asarray(data, dtype=np.float64)
-    norms = np.linalg.norm(rows, axis=1)
+def row_norms(data: np.ndarray) -> np.ndarray:
+    """L2 norms of the rows in float64, taken one block of rows at a time, so no
+    float64 copy of the whole matrix is made; a zero row raises ZeroVectorError."""
+    norms = np.empty(len(data))
+    for start in range(0, len(data), _BLOCK):
+        block = np.asarray(data[start:start + _BLOCK], dtype=np.float64)
+        norms[start:start + _BLOCK] = np.linalg.norm(block, axis=1)
     if not norms.all():
         raise ZeroVectorError(f"zero embedding row {int(np.argmin(norms))}; cosine undefined")
-    return rows, norms
+    return norms
+
+
+def rows_with_norms(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows as float64 plus their ``row_norms``."""
+    rows = np.asarray(data, dtype=np.float64)
+    return rows, row_norms(rows)
 
 
 def cosine_block(q64: np.ndarray, q_norms: np.ndarray,
                  d64: np.ndarray, d_norms: np.ndarray) -> np.ndarray:
-    """clip((q·dᵀ) / outer(‖q‖, ‖d‖), -1, 1) over ``rows_with_norms`` output."""
+    """clip((q·dᵀ) / outer(‖q‖, ‖d‖), -1, 1) over float64 rows and their ``row_norms``."""
     sims = q64 @ d64.T
     sims /= np.outer(q_norms, d_norms)
     return np.clip(sims, -1.0, 1.0, out=sims)

@@ -4,9 +4,14 @@ Search is exact and streamed: ``_cosine_top_k`` walks 256-row source
 chunks and keeps only the top cosines per source row and per target
 column, each at its own width: k and none for ``knn``, k and k for
 ``mine_pairs``, and for ``simsearch_error_rate`` a row shortlist of
-max(k, 32) and k. Besides float64 copies of the inputs,
-``simsearch_error_rate`` needs O(n_src·max(k, 32) + n_tgt·k + 256·n_tgt)
-memory, the others O((n_src + n_tgt)·k + 256·n_tgt). It takes each row's
+max(k, 32) and k. One screened selection, ``_top_k``, serves both axes
+of a chunk's cosine block: a floor taken from group maxima, at or below
+each line's k-th largest value, leaves only a few entries per line to
+sort. Only the target side is held as a float64 copy; each source chunk
+is converted when it is multiplied, and source norms are taken in
+blocks. Beyond that copy, ``simsearch_error_rate`` needs
+O(n_src·max(k, 32) + n_tgt·k + 256·n_tgt) memory, the others
+O((n_src + n_tgt)·k + 256·n_tgt). It takes each row's
 margin argmax from the shortlist where a rounding-safe bound rules out
 every other target, and runs a second cosine product only over the rows
 it leaves undecided. Margin scoring is the ratio
@@ -30,7 +35,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Segment, _check_tsv_field
-from .embed import EmbeddingMatrix, cosine_block, rows_with_norms
+from .embed import EmbeddingMatrix, cosine_block, row_norms, rows_with_norms
 from .fileio import read_lines, write_file
 from .parallel import chunk_ranges, map_chunks
 
@@ -70,11 +75,6 @@ class NeighborList:
         if len(set(indices)) != len(indices):
             raise MiningError("neighbor indices must be distinct")
 
-    def mean_cosine(self) -> float:
-        if not self.neighbors:
-            raise MiningError("empty neighbor list has no mean cosine")
-        return sum(c for _, c in self.neighbors) / len(self.neighbors)
-
 
 @dataclass(frozen=True)
 class MinedPair:
@@ -93,17 +93,46 @@ class MinedPair:
             raise MiningError(f"pair score must be finite, got {self.score!r}")
 
 
-def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
-    """Per row, the indices of its k largest values in (-value, index) order; 1 <= k <= width."""
-    neg = -sims
-    cand = np.argpartition(neg, k - 1, axis=1)[:, :k]
-    order = np.lexsort((cand, np.take_along_axis(neg, cand, axis=1)))
-    cand = np.take_along_axis(cand, order, axis=1)
-    # argpartition picks arbitrarily among values tied with the k-th: redo those rows
-    kth = np.take_along_axis(neg, cand[:, -1:], axis=1)
-    tied = np.count_nonzero(neg <= kth, axis=1) > k
-    cand[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :k]
-    return cand
+_GROUPS = 8  # screen groups per kept entry in _top_k
+_TIE_SHARE = 8  # _top_k thins ties at the floor once more than 1/8 of a block passes
+
+
+def _top_k(sims: np.ndarray, k: int, axis: int = 1) -> np.ndarray:
+    """Indices of the k largest values of each line of ``sims`` along ``axis``, in
+    (-value, index) order: (lines, k) for rows (``axis=1``), (k, lines) for columns
+    (``axis=0``); 1 <= k <= width.
+
+    The screen is exact. A line's entries fall into G = min(width, 8k) groups,
+    index i into group i mod G, so the group maxima reduce over contiguous slabs.
+    The k-th largest group maximum is the value of k distinct entries, so it is at
+    or below the line's k-th largest value, and only the entries at or above that
+    floor are sorted. At most (k-1)·ceil(width/G) of them lie above it. Ties at
+    the floor can admit whole lines, but of the entries at the floor only a line's
+    first k kept ones can reach its top k, so when the screen passes more than
+    1/8 of the block the others are dropped before the sort.
+    """
+    width, lines = sims.shape[axis], sims.shape[1 - axis]
+    g = min(width, _GROUPS * k)
+    slabs = np.moveaxis(sims, axis, 0)  # a view, slab by slab along the line
+    gmax = slabs[:g].copy(order="K")
+    for lo in range(g, width, g):
+        head = gmax[:min(g, width - lo)]
+        np.maximum(head, slabs[lo:lo + g], out=head)
+    floor = np.expand_dims(np.partition(gmax, g - k, axis=0)[g - k], axis)
+    keep = sims >= floor
+    if np.count_nonzero(keep) > keep.size // _TIE_SHARE:
+        keep &= (sims > floor) | (np.cumsum(keep, axis=axis, dtype=np.int32) <= k)
+
+    major, minor = np.divmod(np.flatnonzero(keep), keep.shape[1])
+    line, idx = (major, minor) if axis else (minor, major)
+    _, rank = np.unique(-sims[major, minor], return_inverse=True)  # ties share a rank
+    # one distinct int64 key per candidate, in (line, -value, index) order; it is
+    # below lines * candidates * width <= sims.size**2, so exact for blocks under
+    # 2**31 entries
+    order = np.argsort((line * (rank.max() + 1) + rank) * width + idx)
+    counts = np.bincount(line, minlength=lines)
+    top = idx[order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]]
+    return top if axis else top.T
 
 
 _MERGE_CHUNKS = 16  # chunks per merge of the column top-k; bounds the results held
@@ -111,21 +140,22 @@ _MERGE_CHUNKS = 16  # chunks per merge of the column top-k; bounds the results h
 
 def _cosine_top_k(a: np.ndarray, a_norms: np.ndarray, b: np.ndarray, b_norms: np.ndarray,
                   k_rows: int, k_cols: int, threads: int = 1):
-    """Exact cosine top-k over ``rows_with_norms`` output, one 256-row chunk of ``a``
-    at a time. Returns the row top-``k_rows`` as (n, k_rows) indices and cosines and
-    the column top-``k_cols`` as (k_cols, m) ones (none for ``k_cols=0``); ties go to
-    the lower index."""
+    """Exact cosine top-k of rows ``a`` against float64 rows ``b``, given the
+    ``row_norms`` of both, one 256-row chunk of ``a`` at a time; a chunk is
+    converted to float64 only for its own product. Returns the row top-``k_rows``
+    as (n, k_rows) indices and cosines and the column top-``k_cols`` as (k_cols, m)
+    ones (none for ``k_cols=0``); ties go to the lower index."""
     rows, row_cos = np.empty((len(a), k_rows), dtype=np.int64), np.empty((len(a), k_rows))
     cols, col_cos = np.empty((0, len(b)), dtype=np.int64), np.empty((0, len(b)))
 
     def one_chunk(bounds: tuple[int, int]):
         lo, hi = bounds
-        sims = cosine_block(a[lo:hi], a_norms[lo:hi], b, b_norms)
+        sims = cosine_block(np.asarray(a[lo:hi], dtype=np.float64), a_norms[lo:hi], b, b_norms)
         rows[lo:hi] = _top_k(sims, k_rows)  # chunks write disjoint rows
         row_cos[lo:hi] = np.take_along_axis(sims, rows[lo:hi], axis=1)
         if not k_cols:  # no column candidates: the merge below keeps (0, m) arrays
             return np.empty((0, len(b)), dtype=np.int64), sims[:0]
-        c = _top_k(sims.T, min(k_cols, hi - lo)).T
+        c = _top_k(sims, min(k_cols, hi - lo), axis=0)
         return c + lo, np.take_along_axis(sims, c, axis=0)
 
     chunks = chunk_ranges(len(a))
@@ -149,24 +179,10 @@ def knn(queries: EmbeddingMatrix, database: EmbeddingMatrix, k_nn: int,
     if queries.dim != database.dim:
         raise MiningError(f"dimension mismatch: {queries.dim} vs {database.dim}")
     k = min(k_nn, database.rows)
-    rows, cos, _, _ = _cosine_top_k(*rows_with_norms(queries.data),
+    rows, cos, _, _ = _cosine_top_k(queries.data, row_norms(queries.data),
                                     *rows_with_norms(database.data), k, 0, threads)
     return [NeighborList(query_index=i, neighbors=tuple(zip(js, cs)))
             for i, (js, cs) in enumerate(zip(rows.tolist(), cos.tolist()))]
-
-
-def margin_score(x_idx: int, y_idx: int, cos_xy: float,
-                 nn_x: NeighborList, nn_y: NeighborList,
-                 margin: Margin = Margin.RATIO) -> float:
-    """Score a candidate pair against its two neighborhood means."""
-    if nn_x.query_index != x_idx or nn_y.query_index != y_idx:
-        raise MiningError("neighbor lists do not belong to the scored pair")
-    if len(nn_x.neighbors) != len(nn_y.neighbors) or not nn_x.neighbors:
-        raise MiningError("both neighbor lists must have the same nonzero length")
-    x_mean, y_mean = nn_x.mean_cosine(), nn_y.mean_cosine()
-    if margin is Margin.RATIO and (x_mean + y_mean) / 2.0 <= 0.0:
-        raise MiningError(f"degenerate neighborhood: denominator {(x_mean + y_mean) / 2.0} <= 0")
-    return float(_margins(float(cos_xy), x_mean, y_mean, margin))
 
 
 def _margins(cos, x_mean, y_mean, margin: Margin):
@@ -219,7 +235,7 @@ def mine_pairs(src: EmbeddingMatrix, tgt: EmbeddingMatrix, k_nn: int = 4,
         raise MiningError("empty database")
 
     k = min(k_nn, src.rows, tgt.rows)
-    rows, row_cos, cols, col_cos = _cosine_top_k(*rows_with_norms(src.data),
+    rows, row_cos, cols, col_cos = _cosine_top_k(src.data, row_norms(src.data),
                                                  *rows_with_norms(tgt.data), k, k, threads)
     row_mean, col_mean = _means(row_cos, col_cos, margin)
     fwd, fwd_best = _argmax(rows, _margins(
@@ -365,7 +381,7 @@ def simsearch_error_rate(audio_emb: EmbeddingMatrix, text_emb: EmbeddingMatrix,
 
     k = min(k_nn, audio_emb.rows, text_emb.rows)
     width = min(max(_SHORTLIST, k), text_emb.rows)
-    a, a_norms = rows_with_norms(audio_emb.data)
+    a, a_norms = audio_emb.data, row_norms(audio_emb.data)
     b, b_norms = rows_with_norms(text_emb.data)
     rows, row_cos, _, col_cos = _cosine_top_k(a, a_norms, b, b_norms, width, k, threads)
     row_mean, col_mean = _means(row_cos[:, :k], col_cos, Margin.RATIO)
@@ -378,7 +394,7 @@ def simsearch_error_rate(audio_emb: EmbeddingMatrix, text_emb: EmbeddingMatrix,
 
         def recheck(bounds: tuple[int, int]) -> np.ndarray:
             at = undecided[bounds[0]:bounds[1]]
-            sims = cosine_block(a[at], a_norms[at], b, b_norms)
+            sims = cosine_block(a[at].astype(np.float64), a_norms[at], b, b_norms)
             return _margins(sims, row_mean[at, None], col_mean, Margin.RATIO).argmax(axis=1)
 
         if len(undecided):

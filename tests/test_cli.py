@@ -9,7 +9,9 @@ import pytest
 
 from conftest import build_cli_workspace, cli_command_matrix
 from unitforge import mine
+from unitforge.cascade import PipelineSpec, make_adapter, run_cascade
 from unitforge.cli import dispatch
+from unitforge.corpus import Manifest, Utterance
 
 
 @pytest.fixture(autouse=True)
@@ -103,26 +105,39 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_cascade_unencodable_input_drops_only_its_record(self, tmp_path, cached):
-        # a JSON "\ud800" escape reads as a lone surrogate, which UTF-8 cannot
-        # encode for the child's stdin or for the cache key
-        manifest = tmp_path / "m.jsonl"
-        manifest.write_text('{"id": "u0", "lang": "en", "text": "\\ud800"}\n'
-                            '{"id": "u1", "lang": "en", "text": "hello"}\n', encoding="utf-8")
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({
-            "adapters": {"mt": "mock:identity"},
-            "stages": [{"adapter": "mt", "in": "text", "out": "translation"}]}))
-        out, report = tmp_path / "out.jsonl", tmp_path / "report.json"
-        cache = ["--cache-dir", str(tmp_path / "cache")] if cached else []
-        code = dispatch(["cascade", "run", "--spec", str(spec), "--in", str(manifest),
-                         "--out", str(out), "--report", str(report),
-                         "--adapter", "mt=exec:cat", *cache])
-        assert code == 0
-        rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
-        assert [(r["id"], r["translation"]) for r in rows] == [("u1", "hello")]
-        got = json.loads(report.read_text())
+        # the JSONL reader rejects a lone surrogate (the test below), so one reaches
+        # an exec: stage only through the library; UTF-8 cannot encode it for the
+        # child's stdin or for the cache key
+        manifest = Manifest(records=(Utterance(id="u0", lang="en", text="\ud800"),
+                                     Utterance(id="u1", lang="en", text="hello")))
+        spec = PipelineSpec.from_dict(
+            {"stages": [{"adapter": "mt", "in": "text", "out": "translation"}]})
+        cache = tmp_path / "cache" if cached else None
+        adapters = {"mt": make_adapter("stage", "mt", "exec:cat", cache_dir=cache)}
+        result, report = run_cascade(manifest, spec, adapters)
+        assert [(r.id, r.extra["translation"]) for r in result.records] == [("u1", "hello")]
+        got = report.to_dict()
         assert got["adapter_error_drops"] == 1
         assert got["output_count"] + got["adapter_error_drops"] == got["input_count"] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["manifest", "stats", "--out", "stats.json"],
+        ["manifest", "convert", "--out", "out.tsv"],
+        ["cascade", "run", "--spec", "spec.json", "--out", "out.jsonl"],
+    ])
+    def test_lone_surrogate_in_jsonl_rejected_with_its_line(self, tmp_path, capsys,
+                                                            monkeypatch, argv):
+        # a JSON "\ud800" escape reads as a lone surrogate, which no writer can
+        # encode: every command refuses the manifest before any work, naming the line
+        monkeypatch.chdir(tmp_path)
+        Path("m.jsonl").write_text('{"id": "u0", "lang": "en", "text": "hi"}\n'
+                                   '{"id": "u1", "speaker": "\\ud800"}\n', encoding="utf-8")
+        Path("spec.json").write_text(json.dumps({
+            "adapters": {"mt": "mock:identity"},
+            "stages": [{"adapter": "mt", "in": "text", "out": "translation"}]}))
+        assert dispatch(argv + ["--in", "m.jsonl"]) == 1
+        assert "line 2: lone surrogate" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl", "spec.json"]
 
     def test_mine_choices_are_the_enum_values(self, capsys):
         assert dispatch(["mine", "run", "--help"]) == 0

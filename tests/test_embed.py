@@ -11,7 +11,7 @@ from conftest import make_matrix
 from unitforge.embed import (
     EmbeddingError, EmbeddingMatrix, ZeroVectorError,
     cosine, cosine_matrix, l2_normalize, max_pool,
-    read_embeddings, write_embeddings,
+    read_embeddings, row_norms, write_embeddings,
 )
 
 
@@ -214,3 +214,28 @@ class TestCosineMatrix:
     def test_zero_row_error(self):
         with pytest.raises(ZeroVectorError):
             cosine_matrix(make_matrix([[0.0, 0.0]]), make_matrix([[1.0, 0.0]]))
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("rows, dim", [(1, 1), (255, 3), (257, 8), (513, 33), (600, 1024)])
+    def test_blocks_equal_the_whole_matrix_norms(self, rng, rows, dim):
+        data = rng.normal(size=(rows, dim)).astype(np.float32)
+        whole = np.linalg.norm(data.astype(np.float64), axis=1)
+        np.testing.assert_array_equal(row_norms(data), whole)
+        np.testing.assert_array_equal(row_norms(data.astype(np.float64)), whole)
+
+    def test_no_float64_copy_of_the_matrix(self, rng):
+        data = rng.normal(size=(4000, 256)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            row_norms(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.nbytes // 2  # a float64 copy would be 2 * data.nbytes
+
+    def test_first_zero_row_named(self):
+        data = np.ones((600, 3), dtype=np.float32)
+        data[[300, 500]] = 0.0
+        with pytest.raises(ZeroVectorError, match="^zero embedding row 300; cosine undefined$"):
+            row_norms(data)

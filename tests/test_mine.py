@@ -10,10 +10,10 @@ import pytest
 from conftest import make_matrix, random_matrix
 from unitforge import mine
 from unitforge.corpus import ManifestError, Segment
-from unitforge.embed import EmbeddingMatrix, cosine_block
+from unitforge.embed import EmbeddingMatrix, ZeroVectorError, cosine_block
 from unitforge.mine import (
-    Direction, Margin, MinedPair, MiningError, NeighborList,
-    filter_overlap, knn, margin_score, mine_pairs,
+    Direction, Margin, MinedPair, MiningError,
+    filter_overlap, knn, mine_pairs,
     read_pairs, simsearch_error_rate, write_pairs,
 )
 
@@ -110,6 +110,45 @@ def block_diagonal_fixture():
     return make_matrix(vecs), make_matrix(vecs.copy())
 
 
+def oracle_top_k(block: np.ndarray, k: int, axis: int) -> np.ndarray:
+    """The first k of a stable argsort by -value along ``axis``: ties keep index
+    order, and -0.0 ties with 0.0."""
+    order = np.argsort(-block, axis=axis, kind="stable")
+    return order[:, :k] if axis else order[:k]
+
+
+def top_k_blocks():
+    """Blocks whose line widths are not multiples of the screen's group counts."""
+    gen = np.random.default_rng(3)
+    return [gen.normal(size=(37, 101)),
+            gen.integers(-2, 3, size=(64, 300)).astype(np.float64),  # ties at every floor
+            np.where(gen.random((40, 70)) < 0.5, 0.0, -0.0),  # signed zeros tie
+            np.full((33, 45), 0.25),  # all equal: every line ties at its floor
+            gen.integers(0, 2, size=(1, 77)).astype(np.float64),  # a single row
+            gen.integers(0, 2, size=(59, 1)).astype(np.float64)]  # a single column
+
+
+class TestTopK:
+    """``_top_k`` picks what a stable argsort picks, on both axes of one block."""
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("block", range(len(top_k_blocks())))
+    def test_matches_stable_argsort_for_every_k(self, block, axis):
+        sims = top_k_blocks()[block]
+        for k in range(1, sims.shape[axis] + 1):
+            np.testing.assert_array_equal(mine._top_k(sims, k, axis),
+                                          oracle_top_k(sims, k, axis))
+
+    def test_thinning_ties_keeps_the_values_above_the_floor(self):
+        # one tied value fills each line, a few larger ones sit late in it
+        sims = np.zeros((12, 500))
+        sims[:, 450:] = np.arange(50) / 100.0
+        for axis, block in ((1, sims), (0, np.ascontiguousarray(sims.T))):
+            for k in (1, 4, 49, 50, 51, 80):
+                np.testing.assert_array_equal(mine._top_k(block, k, axis),
+                                              oracle_top_k(block, k, axis))
+
+
 class TestKnn:
     def test_self_similarity_top1(self, rng):
         db = random_matrix(rng, 6, 4)
@@ -152,42 +191,25 @@ class TestKnn:
         with pytest.raises(MiningError, match="mismatch"):
             knn(q, random_matrix(rng, 3, 5), k_nn=1)
 
+    def test_zero_rows_named_source_side_first(self, rng):
+        src, tgt = random_matrix(rng, 600, 4, ids=True), random_matrix(rng, 50, 4, ids=True)
+        src.data[300] = 0.0
+        tgt.data[7] = 0.0
+        gold = dict(zip(src.ids, tgt.ids * 12))
+        for op in (lambda: knn(src, tgt, 3), lambda: mine_pairs(src, tgt, 3),
+                   lambda: simsearch_error_rate(src, tgt, gold)):
+            with pytest.raises(ZeroVectorError, match="^zero embedding row 300;"):
+                op()
+        src.data[300] = 1.0
+        for op in (lambda: knn(src, tgt, 3), lambda: mine_pairs(src, tgt, 3),
+                   lambda: simsearch_error_rate(src, tgt, gold)):
+            with pytest.raises(ZeroVectorError, match="^zero embedding row 7;"):
+                op()
+
     def test_thread_invariance(self, rng):
         queries = random_matrix(rng, 600, 4)
         db = random_matrix(rng, 50, 4)
         assert knn(queries, db, 3, threads=1) == knn(queries, db, 3, threads=8)
-
-
-class TestMarginScore:
-    def test_uniform_neighborhood_scores_one(self):
-        nn_x = NeighborList(0, ((1, 0.7), (2, 0.7)))
-        nn_y = NeighborList(1, ((0, 0.7), (3, 0.7)))
-        assert margin_score(0, 1, 0.7, nn_x, nn_y) == pytest.approx(1.0)
-
-    def test_hand_value(self):
-        nn_x = NeighborList(0, ((1, 0.9), (2, 0.8), (3, 0.8), (4, 0.7)))  # mean 0.8
-        nn_y = NeighborList(1, ((0, 0.9), (5, 0.7), (6, 0.7), (7, 0.5)))  # mean 0.7
-        assert margin_score(0, 1, 0.9, nn_x, nn_y) == pytest.approx(1.2)
-
-    def test_duplicated_neighbors_leave_score_unchanged(self):
-        nn_x = NeighborList(0, ((1, 0.8), (2, 0.6)))
-        nn_y = NeighborList(1, ((0, 0.8), (3, 0.4)))
-        base = margin_score(0, 1, 0.8, nn_x, nn_y)
-        nn_x2 = NeighborList(0, ((1, 0.8), (4, 0.8), (2, 0.6), (5, 0.6)))
-        nn_y2 = NeighborList(1, ((0, 0.8), (6, 0.8), (3, 0.4), (7, 0.4)))
-        assert margin_score(0, 1, 0.8, nn_x2, nn_y2) == pytest.approx(base)
-
-    def test_degenerate_denominator(self):
-        nn_x = NeighborList(0, ((1, -0.5),))
-        nn_y = NeighborList(1, ((0, -0.5),))
-        with pytest.raises(MiningError, match="degenerate"):
-            margin_score(0, 1, -0.5, nn_x, nn_y)
-
-    def test_distance_and_absolute_variants(self):
-        nn_x = NeighborList(0, ((1, 0.9), (2, 0.7)))  # mean 0.8
-        nn_y = NeighborList(1, ((0, 0.9), (3, 0.5)))  # mean 0.7
-        assert margin_score(0, 1, 0.9, nn_x, nn_y, Margin.DISTANCE) == pytest.approx(0.15)
-        assert margin_score(0, 1, 0.9, nn_x, nn_y, Margin.ABSOLUTE) == pytest.approx(0.9)
 
 
 class TestMinePairs:
@@ -224,17 +246,17 @@ class TestMinePairs:
             assert int(np.argmax(row_scores)) == i
 
     def test_margin_scores_match_knn_plus_margin_score(self, rng):
+        # each source row's pair is the loop-oracle margin argmax among its knn
+        # neighbors, lowest index on ties
         src = random_matrix(rng, 6, 4)
         tgt = random_matrix(rng, 8, 4)
         k = 3
-        nn_fwd = knn(src, tgt, k)
-        nn_bwd = knn(tgt, src, k)
+        sims = np.array([[oracle_cosine(a, b) for b in tgt.data] for a in src.data])
         pairs = mine_pairs(src, tgt, k_nn=k)
         by_src = {int(p.src_id): p for p in pairs}
-        for i, nl in enumerate(nn_fwd):
-            best = max(
-                ((j, margin_score(i, j, c, nl, nn_bwd[j])) for j, c in nl.neighbors),
-                key=lambda t: (t[1], -t[0]))
+        for i, nl in enumerate(knn(src, tgt, k)):
+            best = max(((j, oracle_margin(sims, i, j, k)) for j, _ in nl.neighbors),
+                       key=lambda t: (t[1], -t[0]))
             assert by_src[i].tgt_id == str(best[0])
             assert by_src[i].score == pytest.approx(best[1], abs=1e-9)
 
@@ -558,6 +580,27 @@ class TestStreamingMemory:
         finally:
             tracemalloc.stop()
         assert peak < n * m * 8, f"{op} peaked at {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("op", ["mine_pairs", "simsearch_error_rate"])
+    def test_all_equal_rows_peak_below_one_table(self, op):
+        # every cosine is 1.0, so ties at the screen's floor fill whole lines
+        n, m = 2000, 3000
+        src = make_matrix(np.ones((n, 8)), ids=tuple(f"s{i}" for i in range(n)))
+        tgt = make_matrix(np.ones((m, 8)), ids=tuple(f"t{j}" for j in range(m)))
+        tracemalloc.start()
+        try:
+            if op == "mine_pairs":
+                pairs = mine_pairs(src, tgt, k_nn=4, direction="intersect")
+            else:
+                rate = simsearch_error_rate(src, tgt, {f"s{i}": "t0" for i in range(n)}, k_nn=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * m * 8, f"{op} peaked at {peak / 2**20:.1f} MiB"
+        if op == "mine_pairs":  # t0 is every row's first neighbor, s0 every column's
+            assert [(p.src_id, p.tgt_id, p.score) for p in pairs] == [("s0", "t0", 1.0)]
+        else:
+            assert rate == 0.0
 
 
 class TestSimsearch:
