@@ -25,7 +25,7 @@ _EXPORTS = {
     "cli": (),
     "corpus": ("Manifest", "ManifestError", "Segment", "Utterance", "manifest_stats",
                "read_manifest", "write_manifest"),
-    "embed": ("EmbeddingMatrix", "cosine", "l2_normalize", "max_pool", "read_embeddings",
+    "embed": ("EmbeddingMatrix", "l2_normalize", "max_pool", "read_embeddings",
               "write_embeddings"),
     "evalbleu": ("BleuReport", "TokenizedCorpus", "asr_bleu", "corpus_bleu",
                  "tailo_split_syllable", "tokenize", "tokenize_corpus"),

@@ -144,11 +144,6 @@ def l2_normalize(matrix: EmbeddingMatrix) -> tuple[EmbeddingMatrix, int]:
     return EmbeddingMatrix(data=normalized, ids=matrix.ids), zero_rows
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two vectors, clamped to [-1, 1]."""
-    return float(cosine_matrix(np.reshape(a, (1, -1)), np.reshape(b, (1, -1)))[0, 0])
-
-
 def row_norms(data: np.ndarray) -> np.ndarray:
     """L2 norms of the rows in float64, taken one block of rows at a time, so no
     float64 copy of the whole matrix is made; a zero row raises ZeroVectorError."""
@@ -161,28 +156,10 @@ def row_norms(data: np.ndarray) -> np.ndarray:
     return norms
 
 
-def rows_with_norms(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows as float64 plus their ``row_norms``."""
-    rows = np.asarray(data, dtype=np.float64)
-    return rows, row_norms(rows)
-
-
 def cosine_block(q64: np.ndarray, q_norms: np.ndarray,
                  d64: np.ndarray, d_norms: np.ndarray) -> np.ndarray:
     """clip((q·dᵀ) / outer(‖q‖, ‖d‖), -1, 1) over float64 rows and their ``row_norms``."""
     sims = q64 @ d64.T
     sims /= np.outer(q_norms, d_norms)
     return np.clip(sims, -1.0, 1.0, out=sims)
-
-
-def cosine_matrix(queries: EmbeddingMatrix | np.ndarray,
-                  database: EmbeddingMatrix | np.ndarray) -> np.ndarray:
-    """All-pairs cosine similarities as a float64 (n_queries x n_database) matrix."""
-    q = queries.data if isinstance(queries, EmbeddingMatrix) else np.asarray(queries)
-    d = database.data if isinstance(database, EmbeddingMatrix) else np.asarray(database)
-    if q.ndim != 2 or d.ndim != 2:
-        raise EmbeddingError("cosine_matrix expects 2-D inputs")
-    if q.shape[1] != d.shape[1]:
-        raise EmbeddingError(f"dimension mismatch: {q.shape[1]} vs {d.shape[1]}")
-    return cosine_block(*rows_with_norms(q), *rows_with_norms(d))
 

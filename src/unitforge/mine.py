@@ -5,9 +5,10 @@ chunks and keeps only the top cosines per source row and per target
 column, each at its own width: k and none for ``knn``, k and k for
 ``mine_pairs``, and for ``simsearch_error_rate`` a row shortlist of
 max(k, 32) and k. One screened selection, ``_top_k``, serves both axes
-of a chunk's cosine block: a floor taken from group maxima, at or below
-each line's k-th largest value, leaves only a few entries per line to
-sort. Only the target side is held as a float64 copy; each source chunk
+of a chunk's cosine block, and merges the column candidates of up to 16
+chunks at a time with those kept so far: a floor taken from group maxima,
+at or below each line's k-th largest value, leaves only a few entries per
+line to sort. Only the target side is held as a float64 copy; each source chunk
 is converted when it is multiplied, and source norms are taken in
 blocks. Beyond that copy, ``simsearch_error_rate`` needs
 O(n_src·max(k, 32) + n_tgt·k + 256·n_tgt) memory, the others
@@ -35,7 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Segment, _check_tsv_field
-from .embed import EmbeddingMatrix, cosine_block, row_norms, rows_with_norms
+from .embed import EmbeddingMatrix, cosine_block, row_norms
 from .fileio import read_lines, write_file
 from .parallel import chunk_ranges, map_chunks
 
@@ -100,7 +101,9 @@ _TIE_SHARE = 8  # _top_k thins ties at the floor once more than 1/8 of a block p
 def _top_k(sims: np.ndarray, k: int, axis: int = 1) -> np.ndarray:
     """Indices of the k largest values of each line of ``sims`` along ``axis``, in
     (-value, index) order: (lines, k) for rows (``axis=1``), (k, lines) for columns
-    (``axis=0``); 1 <= k <= width.
+    (``axis=0``), C-ordered either way; 1 <= k <= width. Exact for blocks under
+    2**31 entries, which a column merge of ``_cosine_top_k`` must stay under: it
+    passes (16·min(k, 256) + k)·m entries.
 
     The screen is exact. A line's entries fall into G = min(width, 8k) groups,
     index i into group i mod G, so the group maxima reduce over contiguous slabs.
@@ -132,7 +135,7 @@ def _top_k(sims: np.ndarray, k: int, axis: int = 1) -> np.ndarray:
     order = np.argsort((line * (rank.max() + 1) + rank) * width + idx)
     counts = np.bincount(line, minlength=lines)
     top = idx[order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]]
-    return top if axis else top.T
+    return top if axis else np.ascontiguousarray(top.T)
 
 
 _MERGE_CHUNKS = 16  # chunks per merge of the column top-k; bounds the results held
@@ -144,7 +147,7 @@ def _cosine_top_k(a: np.ndarray, a_norms: np.ndarray, b: np.ndarray, b_norms: np
     ``row_norms`` of both, one 256-row chunk of ``a`` at a time; a chunk is
     converted to float64 only for its own product. Returns the row top-``k_rows``
     as (n, k_rows) indices and cosines and the column top-``k_cols`` as (k_cols, m)
-    ones (none for ``k_cols=0``); ties go to the lower index."""
+    ones (empty for ``k_cols=0``); ties go to the lower index."""
     rows, row_cos = np.empty((len(a), k_rows), dtype=np.int64), np.empty((len(a), k_rows))
     cols, col_cos = np.empty((0, len(b)), dtype=np.int64), np.empty((0, len(b)))
 
@@ -153,34 +156,44 @@ def _cosine_top_k(a: np.ndarray, a_norms: np.ndarray, b: np.ndarray, b_norms: np
         sims = cosine_block(np.asarray(a[lo:hi], dtype=np.float64), a_norms[lo:hi], b, b_norms)
         rows[lo:hi] = _top_k(sims, k_rows)  # chunks write disjoint rows
         row_cos[lo:hi] = np.take_along_axis(sims, rows[lo:hi], axis=1)
-        if not k_cols:  # no column candidates: the merge below keeps (0, m) arrays
-            return np.empty((0, len(b)), dtype=np.int64), sims[:0]
-        c = _top_k(sims, min(k_cols, hi - lo), axis=0)
-        return c + lo, np.take_along_axis(sims, c, axis=0)
+        if k_cols:
+            c = _top_k(sims, min(k_cols, hi - lo), axis=0)
+            return c + lo, np.take_along_axis(sims, c, axis=0)
 
     chunks = chunk_ranges(len(a))
     for start in range(0, len(chunks), _MERGE_CHUNKS):
-        for c, cc in map_chunks(one_chunk, chunks[start:start + _MERGE_CHUNKS], threads):
-            # earlier chunks hold lower rows, so the stable sort keeps them first on ties
-            merged = np.vstack([col_cos, cc])
-            keep = np.argsort(-merged, axis=0, kind="stable")[:k_cols]
-            cols = np.take_along_axis(np.vstack([cols, c]), keep, axis=0)
-            col_cos = np.take_along_axis(merged, keep, axis=0)
+        found = map_chunks(one_chunk, chunks[start:start + _MERGE_CHUNKS], threads)
+        if k_cols:
+            # the kept candidates, then each chunk's in row order: among equal
+            # cosines a lower stacked position is a lower row
+            cands = np.vstack([cols, *(c for c, _ in found)])
+            cand_cos = np.vstack([col_cos, *(cc for _, cc in found)])
+            keep = _top_k(cand_cos, min(k_cols, len(cand_cos)), axis=0)
+            cols = np.take_along_axis(cands, keep, axis=0)
+            col_cos = np.take_along_axis(cand_cos, keep, axis=0)
     return rows, row_cos, cols, col_cos
+
+
+def _checked_sides(src: EmbeddingMatrix, tgt: EmbeddingMatrix, k_nn: int):
+    """The source rows with their ``row_norms``, and the target rows as float64
+    with theirs, once ``k_nn >= 1``, a nonempty target and equal dims are checked;
+    a zero row raises ZeroVectorError, a source row named before a target row."""
+    if k_nn < 1:
+        raise MiningError(f"k_nn must be >= 1, got {k_nn}")
+    if tgt.rows == 0:
+        raise MiningError("empty database")
+    if src.dim != tgt.dim:
+        raise MiningError(f"dimension mismatch: {src.dim} vs {tgt.dim}")
+    b = np.asarray(tgt.data, dtype=np.float64)
+    return src.data, row_norms(src.data), b, row_norms(b)
 
 
 def knn(queries: EmbeddingMatrix, database: EmbeddingMatrix, k_nn: int,
         threads: int = 1) -> list[NeighborList]:
     """Exact top-``k_nn`` cosine neighbors per query, ties broken by lower index."""
-    if k_nn < 1:
-        raise MiningError(f"k_nn must be >= 1, got {k_nn}")
-    if database.rows == 0:
-        raise MiningError("empty database")
-    if queries.dim != database.dim:
-        raise MiningError(f"dimension mismatch: {queries.dim} vs {database.dim}")
+    sides = _checked_sides(queries, database, k_nn)
     k = min(k_nn, database.rows)
-    rows, cos, _, _ = _cosine_top_k(queries.data, row_norms(queries.data),
-                                    *rows_with_norms(database.data), k, 0, threads)
+    rows, cos, _, _ = _cosine_top_k(*sides, k, 0, threads)
     return [NeighborList(query_index=i, neighbors=tuple(zip(js, cs)))
             for i, (js, cs) in enumerate(zip(rows.tolist(), cos.tolist()))]
 
@@ -227,16 +240,12 @@ def mine_pairs(src: EmbeddingMatrix, tgt: EmbeddingMatrix, k_nn: int = 4,
     margin = Margin(margin)
     if math.isnan(threshold):
         raise MiningError("threshold must not be NaN")
-    if k_nn < 1:
-        raise MiningError(f"k_nn must be >= 1, got {k_nn}")
-    if src.dim != tgt.dim:
-        raise MiningError(f"dimension mismatch: {src.dim} vs {tgt.dim}")
-    if src.rows == 0 or tgt.rows == 0:
+    sides = _checked_sides(src, tgt, k_nn)
+    if src.rows == 0:
         raise MiningError("empty database")
 
     k = min(k_nn, src.rows, tgt.rows)
-    rows, row_cos, cols, col_cos = _cosine_top_k(src.data, row_norms(src.data),
-                                                 *rows_with_norms(tgt.data), k, k, threads)
+    rows, row_cos, cols, col_cos = _cosine_top_k(*sides, k, k, threads)
     row_mean, col_mean = _means(row_cos, col_cos, margin)
     fwd, fwd_best = _argmax(rows, _margins(
         row_cos, row_mean[:, None], col_mean[rows], margin), axis=1)
@@ -378,11 +387,10 @@ def simsearch_error_rate(audio_emb: EmbeddingMatrix, text_emb: EmbeddingMatrix,
             raise MiningError(f"gold text id {gold[aid]!r} not in the text embeddings")
     if audio_emb.rows == 0:
         raise MiningError("no audio rows to evaluate")
+    a, a_norms, b, b_norms = _checked_sides(audio_emb, text_emb, k_nn)
 
     k = min(k_nn, audio_emb.rows, text_emb.rows)
     width = min(max(_SHORTLIST, k), text_emb.rows)
-    a, a_norms = audio_emb.data, row_norms(audio_emb.data)
-    b, b_norms = rows_with_norms(text_emb.data)
     rows, row_cos, _, col_cos = _cosine_top_k(a, a_norms, b, b_norms, width, k, threads)
     row_mean, col_mean = _means(row_cos[:, :k], col_cos, Margin.RATIO)
     predictions, best = _argmax(rows, _margins(

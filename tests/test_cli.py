@@ -37,6 +37,17 @@ class TestExitCodes:
         assert dispatch(["frobnicate"]) == 1
         assert "usage" in capsys.readouterr().err
 
+    def test_simsearch_eval_rejects_knn_zero_without_a_report(self, workspace, tmp_path,
+                                                               capsys):
+        out = tmp_path / "sim.json"
+        code = dispatch(["mine", "simsearch-eval", "--audio", str(workspace["audio.emb"]),
+                         "--text", str(workspace["text.emb"]),
+                         "--gold", str(workspace["gold.tsv"]), "--knn", "0",
+                         "--out", str(out)])
+        assert code == 1
+        assert "k_nn must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_mentions_it(self, workspace, tmp_path, capsys):
         code = dispatch(["balance", "--counts", str(workspace["counts.tsv"]),
                          "--temperature", "2", "--no-such-flag"])

@@ -25,14 +25,15 @@ def oracle_cosine(a: np.ndarray, b: np.ndarray) -> float:
         np.dot(a, b) / (math.sqrt(np.dot(a, a)) * math.sqrt(np.dot(b, b))))))
 
 
-def oracle_neighbors(queries: np.ndarray, database: np.ndarray, k: int):
-    """All-pairs exact search, one query row at a time."""
-    out = []
-    for i in range(queries.shape[0]):
-        sims = [oracle_cosine(queries[i], database[j]) for j in range(database.shape[0])]
-        order = sorted(range(len(sims)), key=lambda j: (-sims[j], j))[:k]
-        out.append([(j, sims[j]) for j in order])
-    return out
+def oracle_table(queries: np.ndarray, database: np.ndarray) -> np.ndarray:
+    """All-pairs cosines, one pair at a time."""
+    return np.array([[oracle_cosine(q, d) for d in database] for q in queries])
+
+
+def oracle_neighbors(sims: np.ndarray, k: int):
+    """Each row's k best columns of a cosine table by (-cosine, index)."""
+    return [[(j, row[j]) for j in sorted(range(len(row)), key=lambda j: (-row[j], j))[:k]]
+            for row in sims.tolist()]
 
 
 def oracle_margin(sims: np.ndarray, i: int, j: int, k: int,
@@ -66,19 +67,38 @@ def tie_fixture():
     return make_matrix(src), make_matrix(tgt)
 
 
+GROUP_ROWS = mine._MERGE_CHUNKS * 256  # source rows per merge of the column top-k
+
+
+def two_group_tie_fixture():
+    """Like ``tie_fixture``, but 4,400 source rows drawn from 26 distinct ones:
+    their column candidates are merged in two groups, and each column's best
+    cosine is held by many rows on both sides of the group boundary; the 100
+    rows after it also repeat the 100 before it."""
+    gen = np.random.default_rng(4)
+    src = gen.integers(0, 3, size=(GROUP_ROWS + 304, 3))
+    tgt = gen.integers(0, 3, size=(60, 3))
+    src[(src == 0).all(axis=1)] = 1
+    tgt[(tgt == 0).all(axis=1)] = 1
+    src[GROUP_ROWS:GROUP_ROWS + 100] = src[GROUP_ROWS - 100:GROUP_ROWS]
+    return make_matrix(src), make_matrix(tgt)
+
+
 @functools.lru_cache(maxsize=None)
 def oracle_case(name: str):
     """(src, tgt, k, loop cosine table, forward and backward oracle neighbors)."""
     if name == "ties":
         src, tgt = tie_fixture()
         k = 3
+    elif name == "two_group_ties":
+        src, tgt = two_group_tie_fixture()
+        k = 6
     else:
         gen = np.random.default_rng(20240817)
         src, tgt = random_matrix(gen, 30, 5), random_matrix(gen, 24, 5)
         k = 4
-    sims = np.array([[oracle_cosine(a, b) for b in tgt.data] for a in src.data])
-    return (src, tgt, k, sims, oracle_neighbors(src.data, tgt.data, k),
-            oracle_neighbors(tgt.data, src.data, k))
+    sims = oracle_table(src.data, tgt.data)
+    return src, tgt, k, sims, oracle_neighbors(sims, k), oracle_neighbors(sims.T, k)
 
 
 def oracle_mine(name: str, direction: Direction, margin: Margin) -> dict:
@@ -90,12 +110,13 @@ def oracle_mine(name: str, direction: Direction, margin: Margin) -> dict:
         top = max(score(c) for c in cands)
         return min(c for c in cands if score(c) == top), top
 
+    if direction is not Direction.FORWARD:
+        bwd = [best([i for i, _ in nn], lambda i: oracle_margin(sims, i, j, k, margin))
+               for j, nn in enumerate(bwd_nn)]
+        if direction is Direction.BACKWARD:
+            return {(i, j): s for j, (i, s) in enumerate(bwd)}
     fwd = [best([j for j, _ in nn], lambda j: oracle_margin(sims, i, j, k, margin))
            for i, nn in enumerate(fwd_nn)]
-    bwd = [best([i for i, _ in nn], lambda i: oracle_margin(sims, i, j, k, margin))
-           for j, nn in enumerate(bwd_nn)]
-    if direction is Direction.BACKWARD:
-        return {(i, j): s for j, (i, s) in enumerate(bwd)}
     return {(i, j): s for i, (j, s) in enumerate(fwd)
             if direction is Direction.FORWARD or bwd[j][0] == i}
 
@@ -139,6 +160,13 @@ class TestTopK:
             np.testing.assert_array_equal(mine._top_k(sims, k, axis),
                                           oracle_top_k(sims, k, axis))
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_indices_are_c_ordered(self, axis):
+        # the neighbor means sum in memory order, so the layout is part of the result
+        for sims in top_k_blocks():
+            for k in {1, min(16, sims.shape[axis])}:
+                assert mine._top_k(sims, k, axis).flags.c_contiguous
+
     def test_thinning_ties_keeps_the_values_above_the_floor(self):
         # one tied value fills each line, a few larger ones sit late in it
         sims = np.zeros((12, 500))
@@ -166,7 +194,7 @@ class TestKnn:
         queries = random_matrix(rng, 5, 3)
         db = random_matrix(rng, 4, 3)
         src, tgt, k, _, fwd_nn, bwd_nn = oracle_case("ties")
-        cases = [(queries, db, 2, oracle_neighbors(queries.data, db.data, 2)),
+        cases = [(queries, db, 2, oracle_neighbors(oracle_table(queries.data, db.data), 2)),
                  (src, tgt, k, fwd_nn), (tgt, src, k, bwd_nn)]
         for q, d, k_nn, expected in cases:
             for threads in (1, 8):
@@ -183,6 +211,22 @@ class TestKnn:
         by_col = -np.sort(-sims, axis=0)
         assert (by_row[:, k - 1] == by_row[:, k]).sum() > 10
         assert (by_col[k - 1] == by_col[k]).sum() > 10
+
+    def test_two_group_fixture_matches_oracle(self):
+        src, tgt, k, _, fwd_nn, bwd_nn = oracle_case("two_group_ties")
+        for q, d, expected in ((src, tgt, fwd_nn), (tgt, src, bwd_nn)):
+            for threads in (1, 8):
+                got = knn(q, d, k_nn=k, threads=threads)
+                assert [list(nl.neighbors) for nl in got] == expected
+
+    def test_two_group_fixture_ties_across_the_group_boundary(self):
+        # every column's k neighbors, all before the boundary, tie with at least
+        # k rows after it, so a merge that let the later group first on ties
+        # would replace them all
+        _, _, k, sims, _, bwd_nn = oracle_case("two_group_ties")
+        for j, nn in enumerate(bwd_nn):
+            assert max(i for i, _ in nn) < GROUP_ROWS
+            assert np.count_nonzero(sims[GROUP_ROWS:, j] == nn[-1][1]) >= k
 
     def test_errors(self, rng):
         q = random_matrix(rng, 2, 3)
@@ -274,6 +318,44 @@ class TestMinePairs:
             assert got.keys() == expected.keys()
             for key, score in got.items():
                 assert score == pytest.approx(expected[key], abs=1e-12)
+
+    @pytest.mark.parametrize("margin", list(Margin))
+    def test_two_merge_groups_backward_matches_loop_oracle(self, margin):
+        src, tgt, k, _, _, _ = oracle_case("two_group_ties")
+        expected = oracle_mine("two_group_ties", Direction.BACKWARD, margin)
+        for threads in (1, 8):
+            pairs = mine_pairs(src, tgt, k_nn=k, direction="backward", margin=margin,
+                               threads=threads)
+            got = {(int(p.src_id), int(p.tgt_id)): p.score for p in pairs}
+            assert got.keys() == expected.keys()
+            for key, score in got.items():
+                assert score == pytest.approx(expected[key], abs=1e-12)
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_scores_equal_means_of_c_ordered_top_k(self, direction):
+        # at k=16 a mean summed in another order differs in its last bits
+        gen = np.random.default_rng(16)
+        src = make_matrix(np.rint(gen.normal(size=(300, 16)) * 8))
+        tgt = make_matrix(np.rint(gen.normal(size=(400, 16)) * 8))
+        k, sims = 16, integer_cosines(src, tgt)
+        row_top = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+        col_top = np.argsort(-sims, axis=0, kind="stable")[:k]
+        row_cos = np.ascontiguousarray(np.take_along_axis(sims, row_top, axis=1))
+        col_cos = np.ascontiguousarray(np.take_along_axis(sims, col_top, axis=0))
+        row_mean, col_mean = np.mean(row_cos, axis=1), np.mean(col_cos, axis=0)
+        ratio = sims / ((row_mean[:, None] + col_mean[None, :]) / 2.0)
+        expected = {}
+        if direction == "forward":
+            for i, cands in enumerate(row_top.tolist()):
+                best = max(ratio[i, cands])
+                expected[(i, min(j for j in cands if ratio[i, j] == best))] = best
+        else:
+            for j, cands in enumerate(col_top.T.tolist()):
+                best = max(ratio[cands, j])
+                expected[(min(i for i in cands if ratio[i, j] == best), j)] = best
+        for threads in (1, 8):
+            pairs = mine_pairs(src, tgt, k_nn=k, direction=direction, threads=threads)
+            assert {(int(p.src_id), int(p.tgt_id)): p.score for p in pairs} == expected
 
     def test_direction_backward(self, rng):
         src = random_matrix(rng, 4, 3)
@@ -640,6 +722,21 @@ class TestSimsearch:
             if text.ids[best] != gold[audio.ids[i]]:
                 errors += 1
         assert simsearch_error_rate(audio, text, gold, k_nn=4) == pytest.approx(errors / 10)
+
+    def test_rejects_bad_knn_and_dims_like_the_other_searches(self, rng):
+        audio, text = random_matrix(rng, 50, 8, ids=True), random_matrix(rng, 60, 8, ids=True)
+        wide = random_matrix(rng, 60, 9, ids=True)
+        gold = {f"r{i}": f"r{i}" for i in range(50)}
+
+        def simsearch(a, b, k_nn):
+            return simsearch_error_rate(a, b, gold, k_nn=k_nn)
+
+        for op in (simsearch, knn, mine_pairs):
+            for k_nn in (0, -1):
+                with pytest.raises(MiningError, match=f"^k_nn must be >= 1, got {k_nn}$"):
+                    op(audio, text, k_nn=k_nn)
+            with pytest.raises(MiningError, match="^dimension mismatch: 8 vs 9$"):
+                op(audio, wide, k_nn=4)
 
     def test_missing_gold_entry(self):
         audio, text, gold = self._fixture()
