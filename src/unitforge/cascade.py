@@ -38,7 +38,7 @@ from typing import Callable, Mapping, Sequence
 
 from .corpus import TSV_COLUMNS, Manifest, Utterance, get_field, set_field
 from .evalbleu import TOKENIZER_TAGS, tokenize
-from .fileio import read_two_columns, split_lines, write_file
+from .fileio import join_lines, read_two_columns, split_lines, write_file
 
 # each filter kind's params and their defaults; a param's type is its default's
 _FILTER_DEFAULTS: dict[str, dict[str, object]] = {
@@ -86,13 +86,11 @@ def _fail_mock(substring: str) -> Callable[[str], str | None]:
 
 
 def _sendable(line: str) -> bool:
-    """Whether ``line`` is expressible in the line protocol: one line of
-    text that UTF-8 can encode (a lone surrogate cannot be)."""
-    if "\n" in line or "\r" in line:
-        return False
+    """Whether ``line`` is expressible in the line protocol: one line that
+    ``join_lines`` accepts and UTF-8 can encode (a lone surrogate cannot be)."""
     try:
-        line.encode("utf-8")
-    except UnicodeEncodeError:
+        join_lines([line], CascadeError).encode("utf-8")
+    except (CascadeError, UnicodeEncodeError):
         return False
     return True
 
@@ -185,7 +183,7 @@ class Adapter:
         """One child process over ``lines``, spoken to in UTF-8 whatever the
         locale; ``None`` if it fails or replies with bytes that are not UTF-8."""
         proc = subprocess.run(
-            self._command, input=("\n".join(lines) + "\n").encode("utf-8"),
+            self._command, input=join_lines(lines, CascadeError).encode("utf-8"),
             capture_output=True)
         if proc.returncode != 0:
             return None

@@ -23,7 +23,7 @@ import json
 import sys
 
 from . import cascade, corpus, evalbleu
-from .fileio import read_lines, read_two_columns, write_file
+from .fileio import join_lines, read_lines, read_two_columns, write_file
 
 _VALIDATION_ERRORS = (
     ValueError,  # covers every module's *Error validation family
@@ -198,13 +198,15 @@ def _cmd_balance(args) -> int:
             raise balance.BalanceError("--total requires --schedule-out")
     counts = balance.read_counts_tsv(args.counts)
     dist = balance.temperature_distribution(counts, args.temperature)
-    _write_json({"temperature": dist.temperature, "probs": dist.as_dict()},
-                args.out, args.stdout, default_name="dist.json")
-    if args.total is not None:
+    if args.total is not None:  # built first, so a refused id leaves neither file
         _log(f"seed: {args.seed}")
         pools = balance.read_pools_tsv(args.pools)
         schedule = balance.sample_schedule(dist, pools, total=args.total, seed=args.seed)
-        write_file(args.schedule_out, "\n".join(schedule) + ("\n" if schedule else ""))
+        schedule_text = join_lines(schedule, balance.BalanceError)
+    _write_json({"temperature": dist.temperature, "probs": dist.as_dict()},
+                args.out, args.stdout, default_name="dist.json")
+    if args.total is not None:
+        write_file(args.schedule_out, schedule_text)
     return 0
 
 

@@ -4,9 +4,9 @@ A manifest is an ordered collection of utterance records. Two on-disk
 formats are supported:
 
 * TSV: header ``id<TAB>lang<TAB>audio<TAB>duration_s<TAB>speaker<TAB>text<TAB>units``,
-  tab-separated, UTF-8, no quoting. Literal tabs/newlines inside fields are
-  rejected. An absent optional field is written as the empty string, so TSV
-  cannot distinguish "empty text" from "no text".
+  tab-separated, UTF-8, no quoting. A tab, LF or CR in a field or column
+  name is refused on write. An absent optional field is written as the
+  empty string, so TSV cannot distinguish "empty text" from "no text".
 * JSONL: one object per line with the same field names; absent fields are
   missing keys, which keeps the empty/absent distinction.
 
@@ -22,12 +22,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from .fileio import read_lines, write_file
+from .fileio import join_lines, join_rows, read_lines, write_file
 
 
 TSV_COLUMNS = ("id", "lang", "audio", "duration_s", "speaker", "text", "units")
-
-_FORBIDDEN_IN_TSV = ("\t", "\n", "\r")
 
 
 class ManifestError(ValueError):
@@ -63,7 +61,10 @@ class Utterance:
 
 
 def _check_duration(value) -> float:
-    d = float(value)
+    try:
+        d = float(value)
+    except ValueError:
+        raise ManifestError(f"unparsable duration {value!r}") from None
     if not math.isfinite(d) or d < 0:
         raise ManifestError(f"duration_s must be finite and >= 0, got {value!r}")
     return d
@@ -127,16 +128,6 @@ def _infer_format(path: Path, fmt: str | None) -> str:
     raise ManifestError(f"cannot infer manifest format from {path.name!r}; pass format explicitly")
 
 
-def _parse_duration(text: str, line: int) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ManifestError(f"unparsable duration {text!r}", line) from None
-    if not math.isfinite(value) or value < 0:
-        raise ManifestError(f"duration must be finite and >= 0, got {text!r}", line)
-    return value
-
-
 def read_manifest(path: str | Path, fmt: str | None = None) -> Manifest:
     """Read a manifest file; ``fmt`` is inferred from the suffix when omitted."""
     path = Path(path)
@@ -165,30 +156,26 @@ def _read_tsv(path: Path) -> Manifest:
             raise ManifestError(
                 f"expected {len(header)} columns, got {len(cols)}", lineno)
         row = dict(zip(header, cols))
-        rec_id = row.pop("id", "")
-        if not rec_id:
-            raise ManifestError("empty utterance id", lineno)
-        if rec_id in seen:
-            raise ManifestError(f"duplicate utterance id {rec_id!r}", lineno)
-        seen.add(rec_id)
-
-        duration = row.pop("duration_s", "")
-        duration = _parse_duration(duration, lineno) if duration else None
         units = row.pop("units", "")
         known = {
+            "id": row.pop("id"),
             "lang": row.pop("lang", ""),
             "audio_ref": row.pop("audio", "") or None,
+            "duration_s": row.pop("duration_s", "") or None,
             "speaker": row.pop("speaker", "") or None,
             "text": row.pop("text", "") or None,
         }
         extra = {k: v for k, v in row.items() if v != ""}
         try:
-            records.append(Utterance(id=rec_id, duration_s=duration,
-                                     units=units.split() if units else None,
-                                     extra=extra, **known))
+            rec = Utterance(units=units.split() if units else None, extra=extra, **known)
+        except ManifestError as exc:
+            raise ManifestError(str(exc), lineno) from None
         except ValueError:
-            # id and duration are checked above, so only a unit can fail here
             raise ManifestError(f"unparsable units field {units!r}", lineno) from None
+        if rec.id in seen:
+            raise ManifestError(f"duplicate utterance id {rec.id!r}", lineno)
+        seen.add(rec.id)
+        records.append(rec)
     return Manifest(records=tuple(records))
 
 
@@ -256,15 +243,6 @@ def _read_jsonl(path: Path) -> Manifest:
     return Manifest(records=tuple(records))
 
 
-def _check_tsv_field(value: str, column: str, rec_id: str) -> str:
-    for bad in _FORBIDDEN_IN_TSV:
-        if bad in value:
-            raise ManifestError(
-                f"field {column!r} of record {rec_id!r} contains a literal {bad!r}; "
-                "not representable in TSV")
-    return value
-
-
 def write_manifest(manifest: Manifest, path: str | Path, fmt: str | None = None) -> None:
     """Write a manifest; round-trips with :func:`read_manifest` (TSV maps empty == absent)."""
     path = Path(path)
@@ -318,33 +296,20 @@ def set_field(rec: Utterance, name: str, value: str) -> Utterance:
 def _write_tsv(manifest: Manifest, path: Path) -> None:
     extra_cols = sorted({key for rec in manifest.records for key in rec.extra})
     header = list(TSV_COLUMNS) + extra_cols
-    out = ["\t".join(header)]
-    for rec in manifest.records:
-        out.append("\t".join(
-            _check_tsv_field(get_field(rec, col), col, rec.id) for col in header))
-    write_file(path, "\n".join(out) + "\n")
+    rows = ([get_field(rec, col) for col in header] for rec in manifest.records)
+    write_file(path, join_rows(header, rows, ManifestError))
 
 
 def _write_jsonl(manifest: Manifest, path: Path) -> None:
     lines = []
     for rec in manifest.records:
-        obj: dict = {"id": rec.id}
-        if rec.lang:
-            obj["lang"] = rec.lang
-        if rec.audio_ref is not None:
-            obj["audio"] = rec.audio_ref
-        if rec.duration_s is not None:
-            obj["duration_s"] = rec.duration_s
-        if rec.speaker is not None:
-            obj["speaker"] = rec.speaker
-        if rec.text is not None:
-            obj["text"] = rec.text
-        if rec.units is not None:
-            obj["units"] = list(rec.units)
-        for key in sorted(rec.extra):
-            obj[key] = rec.extra[key]
+        obj = {"id": rec.id, "lang": rec.lang or None, "audio": rec.audio_ref,
+               "duration_s": rec.duration_s, "speaker": rec.speaker, "text": rec.text,
+               "units": None if rec.units is None else list(rec.units)}
+        obj = {key: value for key, value in obj.items() if value is not None}  # absent: no key
+        obj.update(sorted(rec.extra.items()))
         lines.append(json.dumps(obj, ensure_ascii=False))
-    write_file(path, "\n".join(lines) + ("\n" if lines else ""))
+    write_file(path, join_lines(lines, ManifestError))
 
 
 def manifest_stats(manifest: Manifest) -> dict[str, dict[str, float | int]]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 import numpy as np
 
-from .fileio import read_lines, write_file
+from .fileio import join_lines, read_lines, write_file
 
 EMB1_MAGIC = b"EMB1"
 _BLOCK = 256  # rows per float64 block in l2_normalize and row_norms
@@ -75,11 +75,7 @@ def write_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
     # checked and encoded first, so a bad id fails before either file changes
     encoded_ids = None
     if matrix.ids is not None:
-        for row_id in matrix.ids:
-            if "\n" in row_id or "\r" in row_id:
-                raise EmbeddingError(f"id {row_id!r} contains a line break; "
-                                     "not representable in the ids sidecar")
-        encoded_ids = ("\n".join(matrix.ids) + ("\n" if matrix.ids else "")).encode("utf-8")
+        encoded_ids = join_lines(matrix.ids, EmbeddingError).encode("utf-8")
     write_file(path, EMB1_MAGIC + struct.pack("<II", matrix.rows, matrix.dim),
                matrix.data.astype("<f4", copy=False))
     if encoded_ids is None:

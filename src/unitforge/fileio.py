@@ -5,6 +5,12 @@ the one line rule. Text is strict UTF-8. A line ends at ``"\\n"`` or
 ``"\\r\\n"`` and at no other character, so U+2028, U+0085, ``\\v``,
 ``\\f`` and a lone ``\\r`` are data. A final line end adds no empty line.
 
+Joining: ``join_lines`` and ``join_rows`` (TSV) build the text that the
+reader splits back into the same lines and cells, each line ending with
+``"\\n"``. A line holding ``"\\n"`` or ``"\\r"``, or a cell or header name
+holding a tab or either of them, would not come back: it raises the
+caller's error, naming its line (and column).
+
 Writing: ``write_file`` writes to a hidden temporary file
 ``.NAME.<random>.tmp`` in the target's directory and renames it over the
 target, so the target holds either its old bytes or all of the new ones.
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 import io
 import os
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 def _lines(stream: Iterable[str]) -> Iterator[str]:
@@ -54,6 +60,31 @@ def read_two_columns(path: str | os.PathLike,
         if len(cols) != 2:
             raise error(f"{path}:{lineno}: expected 2 tab-separated columns, got {len(cols)}")
         yield lineno, cols[0], cols[1]
+
+
+def join_lines(lines: Iterable[str], error: Callable[[str], Exception]) -> str:
+    """The text that :func:`split_lines` splits back into ``lines``; a line
+    holding ``"\\n"`` or ``"\\r"`` raises ``error``, naming the line."""
+    lines = [*lines, ""]
+    text = "\n".join(lines)
+    if "\r" in text or text.count("\n") != len(lines) - 1:
+        for n, line in enumerate(lines, start=1):
+            if "\n" in line or "\r" in line:
+                raise error(f"line {n}: {line!r} holds a line break")
+    return text
+
+
+def join_rows(header: Sequence[str], rows: Iterable[Sequence[str]],
+              error: Callable[[str], Exception]) -> str:
+    """:func:`join_lines` over ``header`` and ``rows``, cells joined by tabs;
+    a cell or header name holding a tab or a line break raises ``error``,
+    naming the line and column."""
+    table = [header, *rows]
+    for n, cells in enumerate(table, start=1):
+        for name, cell in zip(header, cells):
+            if "\t" in cell or "\n" in cell or "\r" in cell:
+                raise error(f"line {n}, column {name!r}: {cell!r} holds a tab or a line break")
+    return join_lines(map("\t".join, table), error)
 
 
 def write_file(path: str | os.PathLike, *parts) -> None:

@@ -35,9 +35,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Segment, _check_tsv_field
+from .corpus import ManifestError, Segment
 from .embed import EmbeddingMatrix, cosine_block, row_norms
-from .fileio import read_lines, write_file
+from .fileio import join_rows, read_lines, write_file
 from .parallel import chunk_ranges, map_chunks
 
 
@@ -419,18 +419,18 @@ PAIRS_HEADER = ("score", "src_id", "tgt_id", "src_audio", "src_start",
 
 
 def write_pairs(pairs: Sequence[MinedPair], path: str | Path) -> None:
-    lines = ["\t".join(PAIRS_HEADER)]
-    for p in pairs:
+    rows = []
+    for lineno, p in enumerate(pairs, start=2):
         row = [repr(float(p.score)), p.src_id, p.tgt_id]
-        for seg in (p.src_segment, p.tgt_segment):
+        for seg, column in ((p.src_segment, "src_audio"), (p.tgt_segment, "tgt_audio")):
             if seg is None:
-                row.extend(["", "", ""])
-            else:
-                row.extend([seg.audio_id, repr(seg.start_s), repr(seg.end_s)])
-        for col in (1, 2, 3, 6):  # the text columns: ids and audio ids
-            _check_tsv_field(row[col], PAIRS_HEADER[col], p.src_id)
-        lines.append("\t".join(row))
-    write_file(path, "\n".join(lines) + "\n")
+                row += ["", "", ""]
+            elif seg.audio_id:
+                row += [seg.audio_id, repr(seg.start_s), repr(seg.end_s)]
+            else:  # an empty audio id would read back as no segment
+                raise ManifestError(f"line {lineno}, column {column!r}: empty segment audio id")
+        rows.append(row)
+    write_file(path, join_rows(PAIRS_HEADER, rows, ManifestError))
 
 
 def read_pairs(path: str | Path) -> list[MinedPair]:

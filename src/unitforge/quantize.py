@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import embed
-from .fileio import read_lines, write_file
+from .fileio import join_lines, read_lines, write_file
 from .parallel import chunk_ranges, map_chunks
 
 
@@ -492,5 +492,5 @@ def read_unit_lines(path: str | Path, vocab_size: int | None = None) -> list[Uni
 
 
 def write_unit_lines(sequences: Iterable[UnitSequence], path: str | Path) -> None:
-    lines = [" ".join(map(str, seq.units)) for seq in sequences]
-    write_file(path, "\n".join(lines) + ("\n" if lines else ""))
+    lines = (" ".join(map(str, seq.units)) for seq in sequences)
+    write_file(path, join_lines(lines, QuantizeError))

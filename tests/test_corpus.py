@@ -98,6 +98,29 @@ class TestReadTsv:
         with pytest.raises(ManifestError, match="line 2"):
             read_manifest(path)
 
+    @pytest.mark.parametrize("cell, message", [
+        ("not-a-number", "unparsable duration 'not-a-number'"),
+        ("-1", "duration_s must be finite and >= 0, got '-1'"),
+        ("nan", "duration_s must be finite and >= 0, got 'nan'"),
+    ])
+    def test_duration_follows_the_utterance_rule(self, tmp_path, cell, message):
+        # the TSV reader and Utterance share one duration check and message
+        path = tmp_path / "m.tsv"
+        path.write_text(f"id\tduration_s\nu1\t1.5\nu2\t{cell}\n")
+        with pytest.raises(ManifestError) as info:
+            read_manifest(path)
+        assert str(info.value) == f"line 3: {message}" and info.value.line == 3
+        with pytest.raises(ManifestError) as info:
+            Utterance(id="u2", duration_s=cell)
+        assert str(info.value) == message
+
+    def test_empty_id_cites_line(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("id\ttext\nu1\tx\n\ty\n")
+        with pytest.raises(ManifestError) as info:
+            read_manifest(path)
+        assert str(info.value) == "line 3: utterance id must be nonempty"
+
     def test_bad_units_cite_line_and_field(self, tmp_path):
         path = tmp_path / "m.tsv"
         for bad in ("4 x 5", "4 1.5", "1e3"):

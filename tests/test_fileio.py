@@ -202,6 +202,33 @@ class TestCliKeepsOldFileOnFailure:
         assert "unitforge: error:" in capsys.readouterr().err
         assert snapshot(tmp_path / "out") == before
 
+    @pytest.mark.parametrize("key", ["x\\ty", "x\\ny", "x\\ry"])
+    def test_manifest_convert_refuses_a_tsv_header_key(self, tmp_path, capsys, key):
+        # the header key would split into columns or lines the reader then rejects
+        src = tmp_path / "in" / "m.jsonl"
+        src.parent.mkdir()
+        src.write_text(f'{{"id": "a", "{key}": "v"}}\n', encoding="utf-8")
+        before = plant(tmp_path / "out", "out.tsv")
+        code = dispatch(["manifest", "convert", "--in", str(src),
+                         "--out", str(tmp_path / "out" / "out.tsv")])
+        assert code == 1
+        assert "line 1, column " in capsys.readouterr().err
+        assert snapshot(tmp_path / "out") == before
+
+    def test_balance_refuses_a_schedule_id_before_any_write(self, tmp_path, capsys):
+        # the id "ab\r" would be written as "ab\r\n" and read back as "ab"
+        (tmp_path / "counts.tsv").write_bytes(b"en\t5\n")
+        (tmp_path / "pools.tsv").write_bytes(b"en\tab\r\r\n")
+        before = plant(tmp_path / "out")
+        code = dispatch(["balance", "--counts", str(tmp_path / "counts.tsv"),
+                         "--temperature", "1", "--pools", str(tmp_path / "pools.tsv"),
+                         "--total", "4", "--out", str(tmp_path / "out" / "dist.json"),
+                         "--schedule-out", str(tmp_path / "out" / "s.txt")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "line 1: 'ab\\r' holds a line break" in err and "wrote" not in err
+        assert snapshot(tmp_path / "out") == before == {}
+
     def test_json_report_unencodable_key(self, tmp_path):
         src = tmp_path / "in" / "m.jsonl"
         src.parent.mkdir()

@@ -1,8 +1,11 @@
-"""The one line rule (``fileio.read_lines``) and every reader built on it.
+"""The one line rule (``fileio.read_lines``, ``fileio.join_lines``) and
+every reader and writer built on it.
 
 A line ends at ``\\n`` or ``\\r\\n`` and nowhere else, so U+2028, U+0085,
 ``\\v``, ``\\f`` and a lone ``\\r`` are data. Each format must read back a
-field that holds them, and LF and CRLF files must read alike.
+field that holds them, and LF and CRLF files must read alike. A writer
+joins lines the way the reader splits them and refuses a line it cannot
+give back.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import pytest
 
 import unitforge
 from unitforge import evalbleu, fileio
-from unitforge.balance import BalanceError, read_counts_tsv, read_pools_tsv
+from unitforge.balance import (BalanceError, read_counts_tsv, read_pools_tsv,
+                               sample_schedule, temperature_distribution)
 from unitforge.cascade import Adapter, CascadeError, make_adapter
 from unitforge.cli import dispatch
 from unitforge.corpus import Manifest, Segment, Utterance, read_manifest, write_manifest
@@ -64,11 +68,59 @@ class TestRule:
             list(fileio.read_lines(path))
 
     def test_only_fileio_splits_text_or_passes_text_to_a_child(self):
-        pattern = re.compile(r"splitlines\(|newline=|text=True")
+        pattern = re.compile(r'splitlines\(|newline=|text=True|"\\n"\.join\(')
         hits = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))
                 for n, line in enumerate(fileio.read_lines(path), 1)
                 if pattern.search(line) and path.name != "fileio.py"]
         assert hits == []
+
+
+class TestJoin:
+    @pytest.mark.parametrize("lines", [
+        [], [""], ["", ""], ["a"], [NO_CR], ["a", "", "b c"], [NO_CR, "\u2028", "\x85"],
+        ["\v", "\f", "tab\there"],
+    ])
+    def test_split_gives_the_lines_back(self, tmp_path, lines):
+        text = fileio.join_lines(iter(lines), ValueError)
+        assert fileio.split_lines(text) == lines
+        assert list(fileio.read_lines(put(tmp_path / "f.txt", text))) == lines
+
+    def test_each_line_ends_with_lf(self):
+        assert fileio.join_lines([], ValueError) == ""
+        assert fileio.join_lines([""], ValueError) == "\n"
+        assert fileio.join_lines(["a", "b"], ValueError) == "a\nb\n"
+
+    @pytest.mark.parametrize("bad", ["x\ny", "x\ry", "x\r", "\r\n", "\n"])
+    def test_line_break_refused_naming_the_line(self, bad):
+        with pytest.raises(BalanceError) as info:
+            fileio.join_lines(["ok", "fine", bad, "z\nz"], BalanceError)
+        assert str(info.value) == f"line 3: {bad!r} holds a line break"
+
+    def test_rows_split_back_into_cells(self):
+        header, rows = ("id", "text"), [("a", NO_CR), ("b", ""), ("c", "x y")]
+        text = fileio.join_rows(header, iter(rows), ValueError)
+        assert text == f"id\ttext\na\t{NO_CR}\nb\t\nc\tx y\n"
+        assert [tuple(line.split("\t")) for line in fileio.split_lines(text)] == [header, *rows]
+        assert fileio.join_rows(("id",), [], ValueError) == "id\n"
+
+    @pytest.mark.parametrize("rows, line, column, cell", [
+        ([("a", "b", "c"), ("d", "e\tf", "g")], 3, "y", "e\tf"),
+        ([("a", "b", "c\n")], 2, "z", "c\n"),
+        ([("\r", "b", "c")], 2, "x", "\r"),
+        ([("a\tb", "c")], 2, "x", "a\tb"),  # a tab that would make up a missing cell
+    ])
+    def test_bad_cell_refused_naming_line_and_column(self, rows, line, column, cell):
+        with pytest.raises(CascadeError) as info:
+            fileio.join_rows(("x", "y", "z"), rows, CascadeError)
+        assert str(info.value) == (
+            f"line {line}, column {column!r}: {cell!r} holds a tab or a line break")
+
+    @pytest.mark.parametrize("name", ["y\tz", "y\nz", "y\r", "\t"])
+    def test_bad_header_name_refused(self, name):
+        with pytest.raises(ValueError) as info:
+            fileio.join_rows(("x", name), [("a", "b")], ValueError)
+        assert str(info.value) == (
+            f"line 1, column {name!r}: {name!r} holds a tab or a line break")
 
 
 class TestTwoColumns:
@@ -123,6 +175,20 @@ class TestRoundTrip:
         path = tmp_path / "pools.tsv"
         fileio.write_file(path, f"en\t{DATA}\nen\te1\nhok\t{DATA}\n")
         assert read_pools_tsv(path) == {"en": [DATA, "e1"], "hok": [DATA]}
+
+    def test_schedule_ids(self, tmp_path):
+        pools = {"en": [NO_CR, "e1"], "hok": [f"h{NO_CR}"]}
+        fileio.write_file(tmp_path / "pools.tsv",
+                          "".join(f"{lang}\t{i}\n" for lang, ids in pools.items() for i in ids))
+        fileio.write_file(tmp_path / "counts.tsv", "en\t9\nhok\t1\n")
+        assert dispatch(["balance", "--counts", str(tmp_path / "counts.tsv"),
+                         "--temperature", "2", "--out", str(tmp_path / "dist.json"),
+                         "--pools", str(tmp_path / "pools.tsv"), "--total", "12",
+                         "--seed", "3", "--schedule-out", str(tmp_path / "s.txt")]) == 0
+        want = sample_schedule(temperature_distribution(read_counts_tsv(
+            tmp_path / "counts.tsv"), 2.0), pools, total=12, seed=3)
+        assert {NO_CR, f"h{NO_CR}"} <= set(want)
+        assert list(fileio.read_lines(tmp_path / "s.txt")) == want
 
     def test_gold_ids(self, tmp_path):
         ids = (NO_CR, f"b{NO_CR}", "c")

@@ -904,6 +904,18 @@ class TestPairsIO:
         assert path.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["pairs.tsv"]
 
+    @pytest.mark.parametrize("pair, column", [
+        (MinedPair("s", "t", 1.0, src_segment=seg("", 0.0, 1.0)), "src_audio"),
+        (MinedPair("s", "t", 1.0, seg("A", 0.0, 1.0), seg("", 2.0, 3.0)), "tgt_audio"),
+    ])
+    def test_writer_refuses_an_empty_segment_audio_id(self, tmp_path, pair, column):
+        # read_pairs reads an empty audio id as no segment, losing start and end
+        path = tmp_path / "pairs.tsv"
+        path.write_bytes(b"old")
+        with pytest.raises(ManifestError, match=f"line 3, column '{column}'"):
+            write_pairs([MinedPair("s0", "t0", 2.0), pair], path)
+        assert path.read_bytes() == b"old"
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("nope\n")
