@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -127,8 +128,11 @@ def sample_schedule(dist: SamplingDistribution, pools: Mapping[str, Sequence[str
     rng = np.random.default_rng(seed)
     lang_draws = rng.choice(len(langs), size=total, p=probs)
     item_draws = rng.integers(0, sizes[lang_draws])
-    lang_pools = [pools[lang] for lang in langs]
-    return [lang_pools[ld][it] for ld, it in zip(lang_draws.tolist(), item_draws.tolist())]
+    # every pool in one object array; language l's items start at offsets[l]
+    items = np.fromiter(chain.from_iterable(pools[lang] for lang in langs),
+                        dtype=object, count=int(sizes.sum()))
+    offsets = np.cumsum(sizes) - sizes
+    return items[offsets[lang_draws] + item_draws].tolist()
 
 
 def read_counts_tsv(path: str | Path) -> LanguageCounts:

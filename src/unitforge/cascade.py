@@ -25,11 +25,9 @@ surrogate), fails on both schemes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shlex
-import subprocess
 from dataclasses import dataclass, field
 from itertools import compress, count
 from operator import ne
@@ -87,7 +85,11 @@ def _fail_mock(substring: str) -> Callable[[str], str | None]:
 
 def _sendable(line: str) -> bool:
     """Whether ``line`` is expressible in the line protocol: one line that
-    ``join_lines`` accepts and UTF-8 can encode (a lone surrogate cannot be)."""
+    ``join_lines`` accepts, holding no CR, that UTF-8 can encode (a lone
+    surrogate cannot be). A child that reads with universal newlines would
+    split a line at a CR and misalign its whole batch."""
+    if "\r" in line:
+        return False
     try:
         join_lines([line], CascadeError).encode("utf-8")
     except (CascadeError, UnicodeEncodeError):
@@ -142,6 +144,8 @@ class Adapter:
     # cache (exec: only) ---------------------------------------------------------
 
     def _cache_path(self, line: str) -> str:
+        import hashlib  # here, not at the top: it loads OpenSSL, which set-up never needs
+
         key = f"{self.kind}\x00{self.name}\x00{self.endpoint}\x00{line}"
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
         return os.path.join(self._cache_root, digest[:2], digest)
@@ -182,6 +186,8 @@ class Adapter:
     def _run_exec(self, lines: list[str]) -> list[str] | None:
         """One child process over ``lines``, spoken to in UTF-8 whatever the
         locale; ``None`` if it fails or replies with bytes that are not UTF-8."""
+        import subprocess  # here, not at the top: set-up never starts a child
+
         proc = subprocess.run(
             self._command, input=join_lines(lines, CascadeError).encode("utf-8"),
             capture_output=True)
@@ -230,10 +236,13 @@ class FilterSpec:
 
     Absent params take their defaults from ``_FILTER_DEFAULTS``; unknown keys,
     values that do not convert and out-of-range values are rejected.
+    ``fields`` names the record fields the filter reads, in the order it
+    takes them: ``field``, then ``ref_field`` for ``code_switch``.
     """
 
     kind: str
     params: Mapping[str, object] = field(default_factory=dict)
+    fields: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in FILTER_KINDS:
@@ -259,6 +268,8 @@ class FilterSpec:
                 raise CascadeError(f"{self.kind} filter: unknown tokenizer "
                                    f"{params['tokenizer']!r}; expected one of {TOKENIZER_TAGS}")
         object.__setattr__(self, "params", params)
+        object.__setattr__(self, "fields", (params["field"], params["ref_field"])
+                           if self.kind == "code_switch" else (params["field"],))
 
 
 @dataclass(frozen=True)
@@ -381,10 +392,11 @@ def filter_min_length(text: str, min_chars: int) -> bool:
 def _apply_filter(spec: FilterSpec, rec: Utterance) -> bool:
     params = spec.params
     if spec.kind == "min_length":
-        return filter_min_length(get_field(rec, params["field"]), params["min_chars"])
-    return filter_code_switch(
-        get_field(rec, params["field"]), get_field(rec, params["ref_field"]),
-        tokenizer=params["tokenizer"], max_norm_dist=params["max_norm_dist"])
+        (name,) = spec.fields
+        return filter_min_length(get_field(rec, name), params["min_chars"])
+    name, ref_name = spec.fields
+    return filter_code_switch(get_field(rec, name), get_field(rec, ref_name),
+                              tokenizer=params["tokenizer"], max_norm_dist=params["max_norm_dist"])
 
 
 # --- orchestration -----------------------------------------------------------
@@ -432,24 +444,50 @@ def run_cascade(src: Manifest, spec: PipelineSpec,
                 adapters: Mapping[str, Adapter]) -> tuple[Manifest, CascadeReport]:
     """Apply the pipeline stages and filters record-wise over a manifest.
 
-    Records whose adapter call fails are dropped with reason
-    ``adapter_error``; records whose adapter output does not parse as the
-    typed output field (``units``, ``duration_s``, ...) are dropped with
-    reason ``field_parse_error``; filters drop in declaration order and
-    each is tallied. When a stage writes ``id`` and surviving records
-    share an id, the first keeps it and the later ones are dropped with
-    reason ``duplicate_id``. Surviving records keep the input order, and
-    kept + dropped always equals the input count.
+    Each filter runs as soon as every field it reads is final: after the
+    last stage that writes one of them, or before the first stage if no
+    stage does, and never before a filter declared ahead of it. Each stage
+    sends only the records still live to its adapter, so a record that a
+    filter drops reaches no later adapter. A record is kept exactly when
+    every stage succeeds on it and every filter passes on its final field
+    values.
+
+    A record is dropped, and tallied, at the first step that fails it:
+    reason ``adapter_error`` when an adapter call fails,
+    ``field_parse_error`` when an adapter output does not parse as the
+    typed output field (``units``, ``duration_s``, ...), and the filter's
+    own label when a filter rejects it. When a stage writes ``id`` and
+    surviving records share an id, the first keeps it and the later ones
+    are dropped with reason ``duplicate_id``. Surviving records keep the
+    input order, and kept + dropped always equals the input count.
     """
     _validate_spec(src, spec, adapters)
 
+    labels = [f"{idx}:{fspec.kind}" for idx, fspec in enumerate(spec.filters)]
+    # final_after[name]: the number of stages after which field ``name`` is final
+    final_after = {stage.out_field: n + 1 for n, stage in enumerate(spec.stages)}
+    # due[n]: the (label, filter) pairs that run once n stages have run
+    due: list[list[tuple[str, FilterSpec]]] = [[] for _ in range(len(spec.stages) + 1)]
+    after = 0
+    for label, fspec in zip(labels, spec.filters):
+        after = max(after, *(final_after.get(name, 0) for name in fspec.fields))
+        due[after].append((label, fspec))
+
     records: list[Utterance | None] = list(src.records)
+    filter_drops = dict.fromkeys(labels, 0)
     adapter_error_drops = field_parse_drops = 0
-    for stage in spec.stages:
-        adapter = adapters[stage.adapter]
+    for n, filters in enumerate(due):
+        for label, fspec in filters:
+            for i, rec in enumerate(records):
+                if rec is not None and not _apply_filter(fspec, rec):
+                    records[i] = None
+                    filter_drops[label] += 1
+        if n == len(spec.stages):
+            break
+        stage = spec.stages[n]
         live = [i for i, rec in enumerate(records) if rec is not None]
         inputs = [get_field(records[i], stage.in_field) for i in live]
-        outputs = adapter.try_run(inputs)
+        outputs = adapters[stage.adapter].try_run(inputs)
         for i, out in zip(live, outputs):
             if out is None:
                 records[i] = None
@@ -460,15 +498,6 @@ def run_cascade(src: Manifest, spec: PipelineSpec,
             except ValueError:
                 records[i] = None
                 field_parse_drops += 1
-
-    filter_drops: dict[str, int] = {}
-    for idx, fspec in enumerate(spec.filters):
-        label = f"{idx}:{fspec.kind}"
-        filter_drops[label] = 0
-        for i, rec in enumerate(records):
-            if rec is not None and not _apply_filter(fspec, rec):
-                records[i] = None
-                filter_drops[label] += 1
 
     kept: list[Utterance] = []
     seen_ids: set[str] = set()

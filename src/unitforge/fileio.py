@@ -7,9 +7,10 @@ the one line rule. Text is strict UTF-8. A line ends at ``"\\n"`` or
 
 Joining: ``join_lines`` and ``join_rows`` (TSV) build the text that the
 reader splits back into the same lines and cells, each line ending with
-``"\\n"``. A line holding ``"\\n"`` or ``"\\r"``, or a cell or header name
-holding a tab or either of them, would not come back: it raises the
-caller's error, naming its line (and column).
+``"\\n"``. A line holding ``"\\n"`` or ending with ``"\\r"`` would not come
+back, nor would a cell or header name holding a tab or ``"\\n"``, or a
+row's last cell ending with ``"\\r"``: each raises the caller's error,
+naming its line (and column). A ``"\\r"`` anywhere else is data.
 
 Writing: ``write_file`` writes to a hidden temporary file
 ``.NAME.<random>.tmp`` in the target's directory and renames it over the
@@ -64,26 +65,29 @@ def read_two_columns(path: str | os.PathLike,
 
 def join_lines(lines: Iterable[str], error: Callable[[str], Exception]) -> str:
     """The text that :func:`split_lines` splits back into ``lines``; a line
-    holding ``"\\n"`` or ``"\\r"`` raises ``error``, naming the line."""
+    holding ``"\\n"`` or ending with ``"\\r"`` raises ``error``, naming the line."""
     lines = [*lines, ""]
     text = "\n".join(lines)
-    if "\r" in text or text.count("\n") != len(lines) - 1:
+    if "\r\n" in text or text.count("\n") != len(lines) - 1:
         for n, line in enumerate(lines, start=1):
-            if "\n" in line or "\r" in line:
+            if "\n" in line or line.endswith("\r"):
                 raise error(f"line {n}: {line!r} holds a line break")
     return text
 
 
 def join_rows(header: Sequence[str], rows: Iterable[Sequence[str]],
               error: Callable[[str], Exception]) -> str:
-    """:func:`join_lines` over ``header`` and ``rows``, cells joined by tabs;
-    a cell or header name holding a tab or a line break raises ``error``,
-    naming the line and column."""
+    """:func:`join_lines` over ``header`` and ``rows`` of one cell per header
+    name, cells joined by tabs; a cell or header name holding a tab or
+    ``"\\n"``, or a last one ending with ``"\\r"``, raises ``error``, naming
+    the line and column."""
     table = [header, *rows]
+    last = len(header) - 1
     for n, cells in enumerate(table, start=1):
-        for name, cell in zip(header, cells):
-            if "\t" in cell or "\n" in cell or "\r" in cell:
-                raise error(f"line {n}, column {name!r}: {cell!r} holds a tab or a line break")
+        for j, cell in enumerate(cells):
+            if "\t" in cell or "\n" in cell or j == last and cell.endswith("\r"):
+                raise error(
+                    f"line {n}, column {header[j]!r}: {cell!r} holds a tab or a line break")
     return join_lines(map("\t".join, table), error)
 
 

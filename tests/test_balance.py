@@ -123,9 +123,22 @@ class TestSampleSchedule:
                  "ja": ["ja0"]}
         for seed in range(5):
             for total in (1, 17, 5000):
-                got = sample_schedule(d, pools, total, seed)
-                assert got == oracle_schedule(d, pools, total, seed)
-                assert all(type(item) is str for item in got)
+                # a zero-probability language may have a pool; it is never drawn
+                for given in (pools, {"zh": ["z0", "z1"], **pools}):
+                    got = sample_schedule(d, given, total, seed)
+                    assert got == oracle_schedule(d, given, total, seed)
+                    assert all(type(item) is str for item in got)
+
+    def test_matches_seed_oracle_on_seeded_pools(self):
+        rng = np.random.default_rng(5)
+        for trial in range(6):
+            sizes = rng.integers(1, 60, size=8)
+            counts = {f"l{i}": float(n) for i, n in enumerate(sizes)}
+            counts[f"l{trial}"] = 0.0
+            pools = {lang: [f"{lang}-{j}" for j in range(n)] for lang, n in zip(counts, sizes)}
+            d = dist(counts, 0.5 + trial)
+            assert sample_schedule(d, pools, 20_000, trial) == \
+                oracle_schedule(d, pools, 20_000, trial)
 
     def test_total_zero(self):
         d = dist({"a": 1}, 1.0)

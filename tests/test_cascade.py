@@ -365,6 +365,14 @@ class TestAdapters:
         assert adapter.try_run(["only\nbreaks"]) == [None]
         assert len(child.runs()) == 2
 
+    def test_cr_is_never_sent_to_a_child(self, tmp_path):
+        # the line rule keeps a CR inside a line, but a child reading with
+        # universal newlines would split there and misalign its whole batch
+        script = tmp_path / "upper.py"
+        script.write_text("import sys\nfor line in sys.stdin: print(line.rstrip('\\n').upper())\n")
+        adapter = make_adapter("mt", "u", f"exec:{sys.executable} {script}")
+        assert adapter.try_run(["a", "b\rc", "d"]) == ["A", None, "D"]
+
     def test_reply_split_by_the_line_rule(self, tmp_path):
         script = tmp_path / "reply.py"
         script.write_text("import sys\nsys.stdin.buffer.read()\n"
@@ -598,6 +606,146 @@ class TestRunCascade:
         parsed = json.loads(json.dumps(report.to_dict()))
         assert parsed["input_count"] == 2
         assert parsed["filter_drops"]["0:min_length"] == 1
+
+
+def stages_then_filters(src: Manifest, spec: PipelineSpec, adapters) -> Manifest:
+    """The kept records of the order that ran every stage over every record
+    and then every filter, kept as the oracle."""
+    records = list(src.records)
+    for stage in spec.stages:
+        live = [i for i, rec in enumerate(records) if rec is not None]
+        outputs = adapters[stage.adapter].try_run(
+            [get_field(records[i], stage.in_field) for i in live])
+        for i, out in zip(live, outputs):
+            try:
+                records[i] = None if out is None else set_field(records[i], stage.out_field, out)
+            except ValueError:
+                records[i] = None
+    for fspec in spec.filters:
+        p = fspec.params
+        for i, rec in enumerate(records):
+            if rec is None:
+                continue
+            if fspec.kind == "min_length":
+                keep = filter_min_length(get_field(rec, p["field"]), p["min_chars"])
+            else:
+                keep = filter_code_switch(get_field(rec, p["field"]),
+                                          get_field(rec, p["ref_field"]),
+                                          p["tokenizer"], p["max_norm_dist"])
+            if not keep:
+                records[i] = None
+    kept, seen = [], set()
+    for rec in records:
+        if rec is not None and rec.id not in seen:
+            seen.add(rec.id)
+            kept.append(rec)
+    return Manifest(records=kept)
+
+
+def dropped(report) -> int:
+    return (report.adapter_error_drops + report.field_parse_drops + report.duplicate_id_drops
+            + sum(report.filter_drops.values()))
+
+
+class TestFilterPlacement:
+    """Each filter runs once the fields it reads are final, so records it
+    drops reach no later adapter."""
+
+    def test_filter_sees_the_value_a_later_stage_writes(self):
+        spec = PipelineSpec.from_dict({
+            "adapters": {"same": "mock:identity", "up": "mock:upper", "rev": "mock:reverse"},
+            "stages": [{"adapter": "same", "in": "text", "out": "hyp"},
+                       {"adapter": "up", "in": "text", "out": "zh"},
+                       {"adapter": "rev", "in": "text", "out": "hyp"}],
+            # the second filter reads only text, yet runs after the first
+            "filters": [{"kind": "code_switch",
+                         "params": {"field": "hyp", "ref_field": "text", "max_norm_dist": 0.0}},
+                        {"kind": "min_length", "params": {"field": "text", "min_chars": 4}}],
+        })
+        src = man("abba", "abc", "aba", "level", "levels", "ab")
+        out, report = run_cascade(src, spec, adapters_for(spec))
+        assert [r.text for r in out] == ["abba", "level"]
+        assert [r.extra["hyp"] for r in out] == ["abba", "level"]
+        # "ab" fails both filters and is counted under the first
+        assert report.filter_drops == {"0:code_switch": 3, "1:min_length": 1}
+
+    def test_record_failing_a_filter_and_a_later_stage_counts_as_the_filter(self):
+        spec = PipelineSpec.from_dict({
+            "adapters": {"flaky": "mock:fail:q", "copy": "mock:identity"},
+            "stages": [{"adapter": "flaky", "in": "text", "out": "zh"},
+                       {"adapter": "copy", "in": "text", "out": "units"}],
+            "filters": [{"kind": "min_length", "params": {"field": "text", "min_chars": 3}}],
+        })
+        # filter and stage 0; stage 0; filter and stage 1's parse; stage 1's parse; kept
+        src = man("qq", "q 1 2", "ab", "abcd", "1 2 3")
+        out, report = run_cascade(src, spec, adapters_for(spec))
+        assert out.ids() == ("u4",)
+        assert report.filter_drops == {"0:min_length": 2}
+        assert report.adapter_error_drops == 1 and report.field_parse_drops == 1
+        assert report.output_count + dropped(report) == report.input_count == 5
+
+    def test_cold_cache_holds_one_entry_per_record_reaching_the_stage(self, tmp_path):
+        spec = PipelineSpec.from_dict({
+            "adapters": {"asr": "mock:lower", "mt": "exec:cat"},
+            "stages": [{"adapter": "asr", "in": "text", "out": "asr_text"},
+                       {"adapter": "mt", "in": "text", "out": "translation"}],
+            "filters": [{"kind": "min_length", "params": {"field": "text", "min_chars": 3}},
+                        {"kind": "code_switch", "params": {"field": "asr_text",
+                                                           "max_norm_dist": 0.0}}],
+        })
+        src = man("abc", "ABC", "ab", "hello", "Hello", "xyz")
+        out, report = run_cascade(src, spec, adapters_for(spec, cache_dir=tmp_path / "cache"))
+        assert [r.extra["translation"] for r in out] == ["abc", "hello", "xyz"]
+        assert report.filter_drops == {"0:min_length": 1, "1:code_switch": 2}
+        assert len([p for p in (tmp_path / "cache").rglob("*") if p.is_file()]) == 3
+
+    def test_dropped_poison_input_no_longer_fails_its_batch(self, tmp_path):
+        script = tmp_path / "poison.py"
+        script.write_text("import sys\n"
+                          "lines = sys.stdin.read().split('\\n')[:-1]\n"
+                          "if 'bad' in lines: sys.exit(1)\n"
+                          "for line in lines: print(line.upper())\n")
+        spec = PipelineSpec.from_dict({
+            "adapters": {"mt": f"exec:{sys.executable} {script}"},
+            "stages": [{"adapter": "mt", "in": "text", "out": "zh"}],
+            "filters": [{"kind": "min_length", "params": {"field": "text", "min_chars": 4}}],
+        })
+        out, report = run_cascade(man("hello", "bad", "world"), spec, adapters_for(spec))
+        assert [r.extra["zh"] for r in out] == ["HELLO", "WORLD"]
+        assert report.filter_drops == {"0:min_length": 1} and report.adapter_error_drops == 0
+
+    def test_kept_records_match_the_stages_then_filters_oracle(self, rng):
+        mocks = ["mock:identity", "mock:upper", "mock:lower", "mock:reverse",
+                 "mock:char_units", "mock:fail:q"]
+        outs = ["text", "hyp", "zh", "units", "duration_s", "id"]
+        alphabet = list("abqAB 12.")
+        for trial in range(200):
+            n = int(rng.integers(1, 14))
+            src = Manifest(records=tuple(
+                Utterance(id=f"t{i}", text="".join(rng.choice(alphabet, size=rng.integers(0, 9))))
+                for i in range(n)))
+            fields, stages = ["text"], []
+            for s in range(int(rng.integers(0, 5))):
+                out = str(rng.choice(outs))
+                stages.append({"adapter": f"a{s}", "in": str(rng.choice(fields)), "out": out})
+                fields.append(out)
+            filters = []
+            for _ in range(int(rng.integers(0, 4))):
+                if rng.random() < 0.5:
+                    filters.append({"kind": "min_length", "params": {
+                        "field": str(rng.choice(fields)), "min_chars": int(rng.integers(0, 5))}})
+                else:
+                    filters.append({"kind": "code_switch", "params": {
+                        "field": str(rng.choice(fields)), "ref_field": str(rng.choice(fields)),
+                        "max_norm_dist": float(rng.choice([0.0, 0.3, 0.6, 1.0]))}})
+            spec = PipelineSpec.from_dict({
+                "adapters": {f"a{s}": str(rng.choice(mocks)) for s in range(len(stages))},
+                "stages": stages, "filters": filters})
+            adapters = adapters_for(spec)
+            out, report = run_cascade(src, spec, adapters)
+            assert out == stages_then_filters(src, spec, adapters), spec
+            assert report.output_count == len(out)
+            assert report.output_count + dropped(report) == report.input_count == n
 
 
 class TestPipelineSpecIO:

@@ -66,7 +66,7 @@ class TestEmb1Format:
         assert read_embeddings(path).data.tolist() == [[5.0]]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.emb"]
 
-    @pytest.mark.parametrize("bad", ["a\nb", "a\rb", "a\r\n"])
+    @pytest.mark.parametrize("bad", ["a\nb", "a\r", "a\r\n"])
     def test_line_break_in_id_rejected_before_any_write(self, tmp_path, bad):
         path = tmp_path / "x.emb"
         write_embeddings(make_matrix([[1.0], [2.0]], ids=("p", "q")), path)

@@ -202,9 +202,10 @@ class TestCliKeepsOldFileOnFailure:
         assert "unitforge: error:" in capsys.readouterr().err
         assert snapshot(tmp_path / "out") == before
 
-    @pytest.mark.parametrize("key", ["x\\ty", "x\\ny", "x\\ry"])
+    @pytest.mark.parametrize("key", ["x\\ty", "x\\ny", "x\\r"])
     def test_manifest_convert_refuses_a_tsv_header_key(self, tmp_path, capsys, key):
-        # the header key would split into columns or lines the reader then rejects
+        # the header key would split into columns or lines the reader then rejects;
+        # the last key ends the line, so a CR there would be lost
         src = tmp_path / "in" / "m.jsonl"
         src.parent.mkdir()
         src.write_text(f'{{"id": "a", "{key}": "v"}}\n', encoding="utf-8")

@@ -894,7 +894,7 @@ class TestPairsIO:
     @pytest.mark.parametrize("pair, column", [
         (MinedPair("a\tb", "t", 1.0), "src_id"),
         (MinedPair("s", "t\nu", 1.0), "tgt_id"),
-        (MinedPair("s", "t", 1.0, tgt_segment=seg("B\r", 0.0, 1.0)), "tgt_audio"),
+        (MinedPair("s", "t", 1.0, tgt_segment=seg("B\n", 0.0, 1.0)), "tgt_audio"),
     ])
     def test_writer_refuses_what_the_reader_cannot_read(self, tmp_path, pair, column):
         path = tmp_path / "pairs.tsv"

@@ -119,3 +119,21 @@ class TestNumpyFree:
         assert 0 < kept < total == 3  # the cascade did keep and drop records
         assert loaded == "[]"
         assert (out / "cli.jsonl").read_bytes() == (out / "kept.jsonl").read_bytes()
+
+
+class TestLeanSetUp:
+    def test_building_adapters_loads_no_hashlib_or_subprocess(self, tmp_path):
+        # hashlib (OpenSSL) and subprocess wait for the first cache lookup or child
+        table = tmp_path / "asr_table.tsv"
+        table.write_text("a0.wav\tli ho\n", encoding="utf-8")
+        out = run_fresh("""
+            import sys
+            import unitforge
+
+            table, cache = sys.argv[1:3]
+            for kind, endpoint in (("asr", f"mock:{table}"), ("mt", "exec:cat"),
+                                   ("t2u", "mock:char_units")):
+                unitforge.make_adapter(kind, kind, endpoint, cache_dir=cache)
+            print(sorted({"hashlib", "subprocess"} & set(sys.modules)))
+        """, str(table), str(tmp_path / "cache"))
+        assert out.splitlines() == ["[]"]
