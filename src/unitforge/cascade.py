@@ -438,6 +438,12 @@ def _validate_spec(src: Manifest, spec: PipelineSpec,
                 f"stage {i}: input field {stage.in_field!r} is neither a source "
                 "column nor produced by a prior stage")
         available.add(stage.out_field)
+    for i, fspec in enumerate(spec.filters):
+        for name in fspec.fields:
+            if name not in available:
+                raise CascadeError(
+                    f"filter {i}: field {name!r} is neither a source column nor "
+                    "written by a stage")
 
 
 def run_cascade(src: Manifest, spec: PipelineSpec,

@@ -105,8 +105,8 @@ def read_embeddings(path: str | Path) -> EmbeddingMatrix:
             raise EmbeddingError(f"{path}: expected {expected} bytes for {rows}x{dim}, got {got}")
 
     ids = None
-    ids_path = Path(str(path) + ".ids")
-    if ids_path.exists():
+    ids_path = f"{path}.ids"
+    if os.path.exists(ids_path):
         ids = tuple(read_lines(ids_path))
     return EmbeddingMatrix(data=data, ids=ids)
 

@@ -23,6 +23,12 @@ fit takes each row's direct distance to its chosen centroid for the inertia
 and for reseeding, and sums each cluster's rows in row order, so a fit is
 byte-identical for any thread count or BLAS blocking given the same inputs.
 
+The screen's constants (the centroids' float32 rounding, ||c||^2 and the
+bound's per-column terms) are built once per centroid set: once per
+``Codebook``, and once per Lloyd iteration within a fit, so a call pays only
+for its own rows. A direct sum gathers only its candidate centroids and
+takes those to float64, so no float64 copy of the codebook is made.
+
 k-means++ seeding is screened by the same certificate: one float32 GEMV per
 new seed gives a lower bound on each row's direct distance to it, and only
 rows whose bound does not rule out an improvement get the direct sum. Every
@@ -35,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -79,7 +85,10 @@ class Codebook:
 
     ``iters_run`` and ``inertia_history`` are fit metadata; they are not
     required to reconstruct the quantizer and are absent on codebooks
-    loaded from disk (except for the values echoed in the sidecar).
+    loaded from disk (except for the values echoed in the sidecar). The
+    nearest-centroid screen is built once from the checked centroids, so
+    change them with ``dataclasses.replace``, which builds a new one, and
+    not in place.
     """
 
     k: int
@@ -88,6 +97,7 @@ class Codebook:
     seed: int
     iters_run: int | None = None
     inertia_history: tuple[float, ...] | None = None
+    _screen: _Screen = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -98,6 +108,7 @@ class Codebook:
         if not np.isfinite(cents).all():
             raise QuantizeError("centroids contain non-finite values")
         object.__setattr__(self, "centroids", cents)
+        object.__setattr__(self, "_screen", _Screen.of(cents))
 
     @property
     def final_inertia(self) -> float | None:
@@ -159,26 +170,51 @@ def _direct_argmin(x: np.ndarray, cents: np.ndarray, cand: np.ndarray) -> np.nda
     # a stable sort by (row, distance) keeps ascending columns within ties
     # (with finite centroids a NaN row is NaN throughout, so it keeps column 0)
     order = np.lexsort((d2, rows))
-    first = order[np.r_[True, rows[order[1:]] != rows[order[:-1]]]]
-    return cols[first]
+    # np.nonzero lists rows in ascending order, so each row's entries start
+    # at the same position before and after the sort
+    return cols[order[np.searchsorted(rows, np.arange(cand.shape[0]))]]
 
 
-def _nearest(features: np.ndarray, centroids: np.ndarray, threads: int = 1) -> np.ndarray:
+@dataclass(frozen=True)
+class _Screen:
+    """What the nearest-centroid screen needs of one centroid set.
+
+    ``cents`` are the centroids as given (float32 for a codebook, float64
+    within a fit) and ``cents32`` their float32 rounding, the same array for
+    float32 centroids. ``upper_shift`` is ||c||^2 plus the column's slack,
+    ``col_gap`` twice that slack; ``coef``, ``floor`` and ``xx_limit`` are
+    ``_certificate``'s.
+    """
+
+    cents: np.ndarray
+    cents32: np.ndarray
+    coef: float
+    floor: float
+    xx_limit: float
+    upper_shift: np.ndarray
+    col_gap: np.ndarray
+
+    @classmethod
+    def of(cls, centroids: np.ndarray) -> _Screen:
+        """The screen of ``centroids``, taken under the module's input rule."""
+        cents = _rows(centroids)
+        with np.errstate(over="ignore"):
+            cents32 = cents.astype(np.float32, copy=False)
+        cc = np.einsum("ij,ij->i", cents, cents, dtype=np.float64)
+        coef, floor, xx_limit = _certificate(cents.shape[1], cc.max())
+        col_slack = coef * cc
+        return cls(cents=cents, cents32=cents32, coef=coef, floor=floor, xx_limit=xx_limit,
+                   upper_shift=cc + col_slack, col_gap=2.0 * col_slack)
+
+
+def _nearest(features: np.ndarray, screen: _Screen, threads: int = 1) -> np.ndarray:
     """Exact nearest centroid per row by the float64 sum over the feature
     axis of (x - c)^2, ties broken toward the lowest centroid index.
 
     ``features`` are float32 or float64. The screen multiplies each chunk
     rounded to float32; float32 chunks are their own rounding.
     """
-    cents = np.ascontiguousarray(centroids, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        cents32 = np.ascontiguousarray(centroids, dtype=np.float32)
-    dim = cents.shape[1]
-    cc = np.einsum("ij,ij->i", cents, cents)
-    coef, floor, xx_limit = _certificate(dim, cc.max())
-    col_slack = coef * cc
-    upper_shift = cc + col_slack
-    col_gap = 2.0 * col_slack
+    coef, floor = screen.coef, screen.floor
 
     def one_chunk(bounds: tuple[int, int]) -> np.ndarray:
         lo, hi = bounds
@@ -187,13 +223,13 @@ def _nearest(features: np.ndarray, centroids: np.ndarray, threads: int = 1) -> n
             xs = np.ascontiguousarray(x, dtype=np.float32)
             xx = np.einsum("ij,ij->i", xs, xs).astype(np.float64)
             # upper[i, j] = expansion - X_i + slack_j; X_i is constant per row
-            upper = (xs @ cents32.T).astype(np.float64)
-            upper *= -2.0
-            upper += upper_shift
+            upper = np.multiply(xs @ screen.cents32.T, -2.0, dtype=np.float64)
+            upper += screen.upper_shift
             thresh = upper.min(axis=1) + (2.0 * coef * xx + floor)
             # keep j unless expansion_j - slack_ij > min_l(expansion_l + slack_il)
-            cand = upper - col_gap <= thresh[:, None]
-        cand[~(xx <= xx_limit)] = True
+            upper -= screen.col_gap
+            cand = upper <= thresh[:, None]
+        cand[~(xx <= screen.xx_limit)] = True
         # every centroid ruled out is strictly farther than the nearest one,
         # so a row's sole candidate is its label
         labels = cand.argmax(axis=1)
@@ -201,13 +237,13 @@ def _nearest(features: np.ndarray, centroids: np.ndarray, threads: int = 1) -> n
         if open_rows.size:
             # float32 to float64 is exact, so these are the rows' own values
             labels[open_rows] = _direct_argmin(x[open_rows].astype(np.float64, copy=False),
-                                               cents, cand[open_rows])
+                                               screen.cents, cand[open_rows])
         return labels
 
     parts = map_chunks(one_chunk, chunk_ranges(features.shape[0]), threads)
     if not parts:
         return np.zeros(0, dtype=np.int64)
-    return np.concatenate(parts)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # rows per direct-distance block
@@ -218,12 +254,13 @@ def _direct_d2(features: np.ndarray, cents: np.ndarray, rows: np.ndarray | None 
                cols: np.ndarray | None = None) -> np.ndarray:
     """Direct float64 sum of (x - c)^2 for every row, or for ``features[rows]``.
 
-    ``features`` are float32 or float64 and ``cents`` float64, so each
-    difference is taken in float64 from the rows' exact values. ``c`` is
-    ``cents`` itself (one vector) for every row or, when ``cols`` is given,
-    ``cents[cols[i]]`` for the i-th row. Rows go through in fixed blocks, so
-    the difference held at once stays small; each row is summed exactly as
-    over the whole matrix.
+    ``features`` are float32 or float64, so each difference is taken in
+    float64 from the rows' exact values. ``c`` is ``cents`` itself (one
+    float64 vector) for every row or, when ``cols`` is given,
+    ``cents[cols[i]]`` for the i-th row; there ``cents`` may be float32, and
+    only the gathered rows are taken to float64, exactly. Rows go through in
+    fixed blocks, so the difference held at once stays small; each row is
+    summed exactly as over the whole matrix.
     """
     n = features.shape[0] if rows is None else rows.shape[0]
     out = np.empty(n)
@@ -233,7 +270,7 @@ def _direct_d2(features: np.ndarray, cents: np.ndarray, rows: np.ndarray | None 
         # a gathered c, or gathered rows as float64, are fresh copies that
         # the difference may overwrite
         if cols is not None:
-            c = cents[cols[block]]
+            c = cents[cols[block]].astype(np.float64, copy=False)
             diff = np.subtract(x, c, out=c)
         elif rows is not None:
             diff = x.astype(np.float64, copy=False)
@@ -350,7 +387,7 @@ def kmeans_fit(features: np.ndarray, k: int, seed: int,
     history: list[float] = []
     iters = 0
     for _ in range(max_iters):
-        labels = _nearest(feats, centroids, threads)
+        labels = _nearest(feats, _Screen.of(centroids), threads)
         d2 = _direct_d2(feats, centroids, cols=labels)
         history.append(float(d2.sum()))
         iters += 1
@@ -377,7 +414,7 @@ def kmeans_fit(features: np.ndarray, k: int, seed: int,
         if movement < tol:
             break
 
-    d2 = _direct_d2(feats, centroids, cols=_nearest(feats, centroids, threads))
+    d2 = _direct_d2(feats, centroids, cols=_nearest(feats, _Screen.of(centroids), threads))
     history.append(float(d2.sum()))
     return Codebook(k=k, dim=dim, centroids=centroids.astype(np.float32),
                     seed=seed, iters_run=iters, inertia_history=tuple(history))
@@ -393,7 +430,7 @@ def assign_units(codebook: Codebook, features: np.ndarray, threads: int = 1) -> 
         return UnitSequence(vocab_size=codebook.k, units=())
     if feats.shape[1] != codebook.dim:
         raise QuantizeError(f"feature dim {feats.shape[1]} != codebook dim {codebook.dim}")
-    labels = _nearest(feats, codebook.centroids, threads)
+    labels = _nearest(feats, codebook._screen, threads)
     return UnitSequence(vocab_size=codebook.k, units=labels.tolist())
 
 

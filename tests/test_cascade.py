@@ -563,6 +563,33 @@ class TestRunCascade:
         with pytest.raises(CascadeError, match="nonexistent"):
             run_cascade(man("a"), spec, adapters_for(spec))
 
+    @pytest.mark.parametrize("params, index, name", [
+        ({"kind": "code_switch", "params": {"field": "asr_txt", "ref_field": "text"}},
+         1, "asr_txt"),
+        ({"kind": "code_switch", "params": {"field": "asr_text", "ref_field": "subs"}},
+         1, "subs"),
+        ({"kind": "min_length", "params": {"field": "nowhere"}}, 1, "nowhere")])
+    def test_unknown_filter_field(self, params, index, name):
+        # an absent field reads as "", so it would decide every record silently
+        spec = PipelineSpec.from_dict({
+            "adapters": {"asr": "mock:identity"},
+            "stages": [{"adapter": "asr", "in": "text", "out": "asr_text"}],
+            "filters": [{"kind": "min_length", "params": {"field": "text"}}, params]})
+        with pytest.raises(CascadeError, match=rf"filter {index}: field '{name}'"):
+            run_cascade(man("hello", "world"), spec, adapters_for(spec))
+
+    def test_filter_fields_from_columns_extras_and_stages(self):
+        src = man("hello", "world", subs=["hello", "hello"])
+        spec = PipelineSpec.from_dict({
+            "adapters": {"asr": "mock:identity"},
+            "stages": [{"adapter": "asr", "in": "text", "out": "asr_text"}],
+            "filters": [{"kind": "code_switch",
+                         "params": {"field": "asr_text", "ref_field": "subs"}},
+                        {"kind": "min_length", "params": {"field": "id", "min_chars": 2}}]})
+        out, report = run_cascade(src, spec, adapters_for(spec))
+        assert out.ids() == ("u0",)
+        assert report.filter_drops == {"0:code_switch": 1, "1:min_length": 0}
+
     def test_conservation_over_random_pipelines(self, rng):
         mocks = ["mock:identity", "mock:upper", "mock:lower", "mock:reverse",
                  "mock:char_units", "mock:fail:q"]

@@ -93,6 +93,25 @@ class TestExitCodes:
         assert got["field_parse_drops"] == 1
         assert got["output_count"] + got["field_parse_drops"] == got["input_count"] == 3
 
+    def test_cascade_unknown_filter_field_is_1(self, tmp_path, capsys):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(
+            "id\tlang\taudio\tduration_s\tspeaker\ttext\tunits\n"
+            "u0\ten\t\t\t\thello\t\n"
+            "u1\ten\t\t\t\tworld\t\n", encoding="utf-8")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "adapters": {"asr": "mock:identity"},
+            "stages": [{"adapter": "asr", "in": "text", "out": "asr_text"}],
+            "filters": [{"kind": "code_switch",
+                         "params": {"field": "asr_txt", "ref_field": "text"}}]}))
+        out = tmp_path / "out.tsv"
+        code = dispatch(["cascade", "run", "--spec", str(spec), "--in", str(manifest),
+                         "--out", str(out)])
+        assert code == 1
+        assert "filter 0: field 'asr_txt'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cascade_duplicate_ids_dropped_not_fatal(self, tmp_path):
         manifest = tmp_path / "m.tsv"
         manifest.write_text(

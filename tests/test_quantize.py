@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -177,6 +178,54 @@ class TestAssignUnits:
             assert list(assign_units(cb, feats).units) == oracle_assign(feats, cents)
 
 
+    def test_heap_stays_below_a_float64_codebook(self, rng):
+        # the screen is built with the codebook, and a call takes to float64
+        # only the candidate centroids it gathers, never the whole codebook
+        k, dim = 2000, 768
+        cb = Codebook(k=k, dim=dim, centroids=rng.normal(size=(k, dim)).astype(np.float32),
+                      seed=0)
+        feats = cb.centroids[rng.integers(0, k, 50)] + rng.normal(size=(50, dim)) * 0.5
+        feats[:5] = (cb.centroids[:5] + cb.centroids[5:10]) / 2  # open rows too
+        feats = feats.astype(np.float32)
+        tracemalloc.start()
+        try:
+            seq = assign_units(cb, feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(seq.units) == oracle_assign(feats, cb.centroids)
+        assert peak < k * dim * 8, f"peak {peak} bytes for a {k}x{dim} codebook"
+
+
+class TestCodebookScreen:
+    """The screen is built from the codebook's own centroids, never a stale set."""
+
+    def test_replace_rebuilds_the_screen(self, rng):
+        cb = Codebook(k=30, dim=16, centroids=rng.normal(size=(30, 16)).astype(np.float32),
+                      seed=0)
+        other = (rng.normal(size=(30, 16)) * 3).astype(np.float32)
+        feats = rng.normal(size=(400, 16)).astype(np.float32) * 2
+        assert oracle_assign(feats, other) != oracle_assign(feats, cb.centroids)
+        swapped = dataclasses.replace(cb, centroids=other)
+        assert list(assign_units(swapped, feats).units) == oracle_assign(feats, other)
+        assert list(assign_units(cb, feats).units) == oracle_assign(feats, cb.centroids)
+
+    def test_read_codebook_assigns_as_the_fitted_one(self, rng, tmp_path):
+        feats = (rng.normal(size=(600, 32)) + np.repeat(rng.normal(size=(6, 32)) * 2, 100,
+                                                        axis=0)).astype(np.float32)
+        fitted = kmeans_fit(feats, k=12, seed=3, max_iters=4)
+        write_codebook(fitted, tmp_path / "codebook.emb")
+        loaded = read_codebook(tmp_path / "codebook.emb")
+        frames = feats + rng.normal(size=feats.shape).astype(np.float32)
+        assert assign_units(loaded, frames) == assign_units(fitted, frames)
+        assert list(assign_units(loaded, frames).units) == oracle_assign(frames, fitted.centroids)
+
+    def test_screen_is_not_in_repr(self):
+        cb = Codebook(k=2, dim=1, centroids=np.array([[0.0], [1.0]], np.float32), seed=7)
+        assert "_screen" not in repr(cb) and "Screen" not in repr(cb)
+        assert repr(cb).startswith("Codebook(k=2, dim=1, centroids=")
+
+
 def record_candidates(monkeypatch) -> list[np.ndarray]:
     """Collect the per-row candidate counts of the rows the kernel hands to
     its direct recheck (rows with one candidate never reach it)."""
@@ -258,7 +307,8 @@ class TestExactKernel:
         cb = Codebook(k=40, dim=24, centroids=cents, seed=0)
         assert assign_units(cb, cents).units == tuple(range(40))
         c64 = cents.astype(np.float64)
-        dists = quantize._direct_d2(c64, c64, cols=quantize._nearest(cents, cents))
+        labels = quantize._nearest(cents, quantize._Screen.of(cents))
+        dists = quantize._direct_d2(c64, c64, cols=labels)
         assert (dists == 0).all()
 
     def test_k_above_chunk_at_d768(self, rng):
@@ -274,7 +324,7 @@ class TestExactKernel:
         n = quantize._DIRECT_BLOCK + 260
         cents = rng.normal(size=(30, 768)).astype(np.float32).astype(np.float64)
         feats = (rng.normal(size=(n, 768)) + 1e3).astype(np.float32).astype(np.float64)
-        labels = quantize._nearest(feats, cents)
+        labels = quantize._nearest(feats, quantize._Screen.of(cents))
         dists = quantize._direct_d2(feats, cents, cols=labels)
         expected = oracle_dists(feats, cents)[np.arange(n), labels]
         np.testing.assert_array_equal(dists, expected)
@@ -324,7 +374,7 @@ class TestExactKernel:
         # float64 centroids as k-means holds them; squares underflow to zero
         cents = rng.normal(size=(8, 16)) * 1e-160
         feats = np.vstack([(cents[0] + cents[1]) / 2, cents[5], cents * 3])
-        labels = quantize._nearest(feats, cents)
+        labels = quantize._nearest(feats, quantize._Screen.of(cents))
         assert list(labels) == oracle_assign(feats, cents)
 
     def test_kmeans_d768_thread_independent(self, rng):
@@ -608,7 +658,7 @@ class TestFloat32Certificate:
         gaps = np.exp(rng.uniform(np.log(1e-11), np.log(1e-7), 60)) * rng.choice([-1, 1], 60)
         feats = self.midpoint_rows(rng, cents, gaps)
         seen = record_candidates(monkeypatch)
-        got = quantize._nearest(feats, cents)
+        got = quantize._nearest(feats, quantize._Screen.of(cents))
         assert list(got) == oracle_assign(feats, cents)
         assert set(got) == {0, 1}
         counts = np.concatenate(seen)
@@ -636,7 +686,8 @@ class TestFloat32Certificate:
         flips = np.sign(exact[:, 0] - exact[:, 1]) != np.sign(rounded[:, 0] - rounded[:, 1])
         assert flips.sum() >= 40
         seen = record_candidates(monkeypatch)
-        assert list(quantize._nearest(feats, cents)) == oracle_assign(feats, cents)
+        got = quantize._nearest(feats, quantize._Screen.of(cents))
+        assert list(got) == oracle_assign(feats, cents)
         assert len(np.concatenate(seen)) == len(feats)
         # seeding with centroid 0 drawn before and centroid 1 now
         rows = record_direct_rows(monkeypatch)
@@ -705,7 +756,7 @@ class TestFloat32Certificate:
         assert list(assign_units(cb, feats).units) == oracle_assign(feats, cents)
         c64 = cents.astype(np.float64)
         for x in (feats.astype(np.float64), rng.normal(size=(40, dim)) * 1e-40):
-            assert list(quantize._nearest(x, c64)) == oracle_assign(x, c64)
+            assert list(quantize._nearest(x, quantize._Screen.of(c64))) == oracle_assign(x, c64)
             assert_lowered(x, c64[2], ((x - c64[3]) ** 2).sum(axis=1))
         # tiny rows against far larger centroids: products are float32
         # subnormals (1e-42) or nothing (1e-73), and mirrored centroids have
@@ -714,7 +765,7 @@ class TestFloat32Certificate:
             big = rng.normal(size=(4, dim)) * cent_scale
             big = np.vstack([big, -big])
             x = rng.normal(size=(50, dim)) * row_scale
-            assert list(quantize._nearest(x, big)) == oracle_assign(x, big)
+            assert list(quantize._nearest(x, quantize._Screen.of(big))) == oracle_assign(x, big)
             cb = Codebook(k=8, dim=dim, centroids=big.astype(np.float32), seed=0)
             xs = x.astype(np.float32)
             assert list(assign_units(cb, xs).units) == oracle_assign(xs, cb.centroids)
@@ -789,6 +840,23 @@ class TestUnitOps:
 
     def test_dedup_empty(self):
         assert dedup_units(UnitSequence(vocab_size=4)).units == ()
+
+    def test_dedup_equals_collapsing_runs_on_seeded_sequences(self, rng):
+        def collapse_runs(units):
+            out = []
+            for u in units:
+                if not out or out[-1] != u:
+                    out.append(u)
+            return out
+
+        cases = [(), (4,), (4,) * 500, (0, 0, 9, 9, 9, 0)]
+        for _ in range(50):
+            runs = rng.integers(1, 40, size=int(rng.integers(1, 30)))
+            cases.append(tuple(np.repeat(rng.integers(0, 3, size=len(runs)), runs).tolist()))
+        for units in cases:
+            seq = UnitSequence(vocab_size=10, units=units)
+            assert list(dedup_units(seq).units) == collapse_runs(units)
+            assert dedup_units(seq).vocab_size == 10
 
     def test_dedup_no_adjacent_repeats_untouched(self):
         seq = UnitSequence(vocab_size=4, units=(1, 2, 1))
