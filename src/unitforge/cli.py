@@ -8,7 +8,8 @@ Conventions:
 * reports are JSON files;
 * every output file replaces its target atomically (``fileio.write_file``),
   so a failed write leaves the previous file in place;
-* ``--seed`` and ``--threads`` go after the action (``quantize fit --seed 7``);
+* ``--threads`` (every action) and ``--seed`` (``quantize fit`` and
+  ``balance``) go after the action (``quantize fit --seed 7``);
 * exit 0 on success, 1 on argument/validation errors, 2 on runtime
   failures;
 * ``--threads N`` never changes any output, for any N >= 1;
@@ -107,11 +108,10 @@ def _cmd_units_dedup(args) -> int:
 def _cmd_units_ctc_collapse(args) -> int:
     from . import quantize
 
+    sequences = quantize.read_unit_lines(args.infile, args.vocab_size)
     # without --vocab-size, ctc_collapse infers one per line covering units and blank
-    collapsed = [
-        quantize.ctc_collapse(list(map(int, line.split())), blank=args.blank,
-                              vocab_size=args.vocab_size)
-        for line in read_lines(args.infile)]
+    collapsed = [quantize.ctc_collapse(seq.units, blank=args.blank, vocab_size=args.vocab_size)
+                 for seq in sequences]
     quantize.write_unit_lines(collapsed, args.out)
     return 0
 
@@ -256,10 +256,11 @@ _CACHE_DIR_HELP = "cache exec: adapter outputs here; mock: adapters are never ca
 
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     common.add_argument("--threads", type=int, default=1,
                         help="worker threads, capped at the CPU count; never changes "
                              "outputs (default 1)")
+    seeded = _Parser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
     parser = _Parser(prog="unitforge",
                      description="corpus engineering for unit-based speech translation")
@@ -284,7 +285,7 @@ def build_parser() -> _Parser:
     # quantize
     p_quant = top.add_parser("quantize", help="k-means codebooks and unit assignment")
     sub = p_quant.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    p = sub.add_parser("fit", parents=[common])
+    p = sub.add_parser("fit", parents=[seeded])
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--in", dest="infile", required=True, help="EMB1 feature matrix")
     p.add_argument("--out", required=True, help="codebook path")
@@ -359,7 +360,7 @@ def build_parser() -> _Parser:
 
     # balance
     p = top.add_parser("balance", help="temperature sampling over language counts",
-                       parents=[common])
+                       parents=[seeded])
     p.add_argument("--counts", required=True, help="TSV lang<TAB>count")
     p.add_argument("--temperature", type=float, required=True)
     p.add_argument("--out")

@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .fileio import join_lines, join_rows, read_lines, write_file
 
@@ -95,17 +95,18 @@ class Segment:
 
 @dataclass(frozen=True)
 class Manifest:
-    """Ordered, id-unique collection of utterances."""
+    """Ordered, id-unique collection of utterances. ``records`` may be any
+    iterable: each id is checked before the next record is drawn."""
 
     records: tuple[Utterance, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        seen: set[str] = set()
+        by_id: dict[str, Utterance] = {}
         for rec in self.records:
-            if rec.id in seen:
+            if rec.id in by_id:
                 raise ManifestError(f"duplicate utterance id {rec.id!r}")
-            seen.add(rec.id)
+            by_id[rec.id] = rec
+        object.__setattr__(self, "records", tuple(by_id.values()))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -129,32 +130,44 @@ def _infer_format(path: Path, fmt: str | None) -> str:
 
 
 def read_manifest(path: str | Path, fmt: str | None = None) -> Manifest:
-    """Read a manifest file; ``fmt`` is inferred from the suffix when omitted."""
+    """Read a manifest file; ``fmt`` is inferred from the suffix when omitted.
+
+    One loop serves both formats: it hands each line to the format's record
+    parser and puts the line number on any :class:`ManifestError`, the id
+    check of :class:`Manifest` included."""
     path = Path(path)
     fmt = _infer_format(path, fmt)
-    if fmt == "tsv":
-        return _read_tsv(path)
-    return _read_jsonl(path)
+    lines = enumerate(read_lines(path), start=1)
+    lineno = 1
+
+    def records() -> Iterator[Utterance]:
+        nonlocal lineno
+        parse = _tsv_parser(next(lines, (1, None))[1]) if fmt == "tsv" else _parse_jsonl
+        for lineno, raw in lines:
+            rec = parse(raw)
+            if rec is not None:
+                yield rec
+
+    try:
+        return Manifest(records=records())  # checks each id as the loop yields it
+    except ManifestError as exc:
+        raise ManifestError(str(exc), lineno) from None
 
 
-def _read_tsv(path: Path) -> Manifest:
-    lines = read_lines(path)
-    first = next(lines, None)
+def _tsv_parser(first: str | None) -> Callable[[str], Utterance]:
+    """The row parser bound to the TSV header line ``first``."""
     if first is None:
-        raise ManifestError("empty TSV manifest: missing header", 1)
+        raise ManifestError("empty TSV manifest: missing header")
     header = first.split("\t")
     if "id" not in header:
-        raise ManifestError("TSV header must contain an 'id' column", 1)
+        raise ManifestError("TSV header must contain an 'id' column")
     if len(set(header)) != len(header):
-        raise ManifestError("TSV header has duplicate column names", 1)
+        raise ManifestError("TSV header has duplicate column names")
 
-    records = []
-    seen: set[str] = set()
-    for lineno, raw in enumerate(lines, start=2):
+    def parse(raw: str) -> Utterance:
         cols = raw.split("\t")
         if len(cols) != len(header):
-            raise ManifestError(
-                f"expected {len(header)} columns, got {len(cols)}", lineno)
+            raise ManifestError(f"expected {len(header)} columns, got {len(cols)}")
         row = dict(zip(header, cols))
         units = row.pop("units", "")
         known = {
@@ -167,80 +180,56 @@ def _read_tsv(path: Path) -> Manifest:
         }
         extra = {k: v for k, v in row.items() if v != ""}
         try:
-            rec = Utterance(units=units.split() if units else None, extra=extra, **known)
-        except ManifestError as exc:
-            raise ManifestError(str(exc), lineno) from None
+            return Utterance(units=units.split() if units else None, extra=extra, **known)
+        except ManifestError:
+            raise
         except ValueError:
-            raise ManifestError(f"unparsable units field {units!r}", lineno) from None
-        if rec.id in seen:
-            raise ManifestError(f"duplicate utterance id {rec.id!r}", lineno)
-        seen.add(rec.id)
-        records.append(rec)
-    return Manifest(records=tuple(records))
+            raise ManifestError(f"unparsable units field {units!r}") from None
+
+    return parse
 
 
-def _read_jsonl(path: Path) -> Manifest:
-    records = []
-    seen: set[str] = set()
-    for lineno, raw in enumerate(read_lines(path), start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
+def _parse_jsonl(raw: str) -> Utterance | None:
+    """The record on one JSONL line; ``None`` for a blank line."""
+    raw = raw.strip()
+    if not raw:
+        return None
+    try:
+        obj = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ManifestError(f"invalid JSON: {exc.msg}") from None
+    if not isinstance(obj, dict):
+        raise ManifestError("each JSONL line must be an object")
+    if "\\u" in raw:  # only a \u escape can bring a lone surrogate past strict UTF-8
         try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"invalid JSON: {exc.msg}", lineno) from None
-        if not isinstance(obj, dict):
-            raise ManifestError("each JSONL line must be an object", lineno)
-        if "\\u" in raw:  # only a \u escape can bring a lone surrogate past strict UTF-8
-            try:
-                json.dumps(obj, ensure_ascii=False).encode("utf-8")
-            except UnicodeEncodeError:
-                raise ManifestError("lone surrogate in a string; UTF-8 cannot encode it",
-                                    lineno) from None
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ManifestError("lone surrogate in a string; UTF-8 cannot encode it") from None
 
-        rec_id = obj.pop("id", None)
-        if not isinstance(rec_id, str) or not rec_id:
-            raise ManifestError("missing or empty 'id'", lineno)
-        if rec_id in seen:
-            raise ManifestError(f"duplicate utterance id {rec_id!r}", lineno)
-        seen.add(rec_id)
+    rec_id = obj.pop("id", None)
+    if not isinstance(rec_id, str) or not rec_id:
+        raise ManifestError("missing or empty 'id'")
+    duration = obj.pop("duration_s", None)
+    if duration is not None and (isinstance(duration, bool)
+                                 or not isinstance(duration, (int, float))):
+        raise ManifestError(f"unparsable duration {duration!r}")
+    units = obj.pop("units", None)
+    if units is not None and (not isinstance(units, list) or not all(
+            isinstance(u, int) and not isinstance(u, bool) for u in units)):
+        raise ManifestError("units must be a list of integers")
+    for key in ("lang", "audio", "speaker", "text"):
+        if not isinstance(obj.get(key), (str, type(None))):
+            raise ManifestError(f"{key!r} must be a string or null")
 
-        duration = obj.pop("duration_s", None)
-        if duration is not None and (isinstance(duration, bool)
-                                     or not isinstance(duration, (int, float))):
-            raise ManifestError(f"unparsable duration {duration!r}", lineno)
-        units = obj.pop("units", None)
-        if units is not None:
-            if not isinstance(units, list) or not all(
-                    isinstance(u, int) and not isinstance(u, bool) for u in units):
-                raise ManifestError("units must be a list of integers", lineno)
-            units = tuple(units)
-        for key in ("lang", "audio", "speaker", "text"):
-            if not isinstance(obj.get(key), (str, type(None))):
-                raise ManifestError(f"{key!r} must be a string or null", lineno)
-
-        extra = {}
-        for key in sorted(k for k in obj if k not in ("lang", "audio", "speaker", "text")):
-            value = obj.pop(key)
-            if isinstance(value, (dict, list)):
-                raise ManifestError(f"nested value not allowed for field {key!r}", lineno)
-            extra[key] = value if isinstance(value, str) else json.dumps(value)
-
-        try:
-            records.append(Utterance(
-                id=rec_id,
-                lang=obj.get("lang", "") or "",
-                audio_ref=obj.get("audio"),
-                duration_s=duration,
-                speaker=obj.get("speaker"),
-                text=obj.get("text"),
-                units=units,
-                extra=extra,
-            ))
-        except ManifestError as exc:
-            raise ManifestError(str(exc), lineno) from None
-    return Manifest(records=tuple(records))
+    extra = {}
+    for key in sorted(k for k in obj if k not in ("lang", "audio", "speaker", "text")):
+        value = obj.pop(key)
+        if isinstance(value, (dict, list)):
+            raise ManifestError(f"nested value not allowed for field {key!r}")
+        extra[key] = value if isinstance(value, str) else json.dumps(value)
+    return Utterance(id=rec_id, lang=obj.get("lang", "") or "", audio_ref=obj.get("audio"),
+                     duration_s=duration, speaker=obj.get("speaker"), text=obj.get("text"),
+                     units=units, extra=extra)
 
 
 def write_manifest(manifest: Manifest, path: str | Path, fmt: str | None = None) -> None:

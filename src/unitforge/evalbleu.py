@@ -276,8 +276,9 @@ def _block_stats(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]],
 
 
 def corpus_bleu(hyps: TokenizedCorpus, refs: TokenizedCorpus,
-                max_n: int = 4, smoothing: str = "none") -> BleuReport:
-    """Corpus BLEU over aligned tokenized segments (single reference)."""
+                smoothing: str = "none") -> BleuReport:
+    """Corpus BLEU-4 over aligned tokenized segments (single reference)."""
+    max_n = 4
     if smoothing not in ("none", "exp"):
         raise BleuError(f"unknown smoothing {smoothing!r}; expected 'none' or 'exp'")
     if len(hyps) != len(refs):

@@ -18,12 +18,14 @@ R = TypeVar("R")
 CHUNK_ROWS = 256
 
 
-def chunk_ranges(n: int, chunk: int = CHUNK_ROWS) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+def chunk_ranges(n: int) -> list[tuple[int, int]]:
+    return [(lo, min(lo + CHUNK_ROWS, n)) for lo in range(0, n, CHUNK_ROWS)]
 
 
 def map_chunks(fn: Callable[[T], R], chunks: Sequence[T], threads: int = 1) -> list[R]:
-    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    workers = min(threads, len(chunks))
+    if workers > 1:  # the CPU count is read only when a pool could start
+        workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return [fn(c) for c in chunks]
     with ThreadPoolExecutor(max_workers=workers) as pool:

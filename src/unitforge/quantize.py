@@ -445,16 +445,13 @@ def dedup_units(seq: UnitSequence) -> UnitSequence:
     return UnitSequence(vocab_size=seq.vocab_size, units=tuple(out))
 
 
-def ctc_collapse(frame_labels: Sequence[int] | UnitSequence, blank: int,
+def ctc_collapse(frame_labels: Sequence[int], blank: int,
                  vocab_size: int | None = None) -> UnitSequence:
-    """Greedy CTC path collapse: merge repeats, then delete blank symbols."""
-    if isinstance(frame_labels, UnitSequence):
-        labels = frame_labels.units
-        vocab_size = frame_labels.vocab_size if vocab_size is None else vocab_size
-    else:
-        labels = tuple(int(u) for u in frame_labels)
-        if vocab_size is None:
-            vocab_size = max(max(labels, default=0), blank) + 1
+    """Greedy CTC path collapse: merge repeats, then delete blank symbols. The
+    vocabulary defaults to the smallest that holds the labels and ``blank``."""
+    labels = tuple(map(int, frame_labels))
+    if vocab_size is None:
+        vocab_size = max(max(labels, default=0), blank) + 1
     if not 0 <= blank < vocab_size:
         raise QuantizeError(f"blank {blank} out of range [0, {vocab_size})")
     collapsed = dedup_units(UnitSequence(vocab_size=vocab_size, units=labels))

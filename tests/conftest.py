@@ -120,6 +120,8 @@ def cli_command_matrix(paths: dict[str, Path], out: Path) -> list[tuple[str, lis
                             "--out", s(out / "stats.json")]),
         ("manifest-convert", ["manifest", "convert", "--in", s(paths["m.tsv"]),
                               "--out", s(out / "m.jsonl")]),
+        ("manifest-convert-back", ["manifest", "convert", "--in", s(out / "m.jsonl"),
+                                   "--out", s(out / "m_back.tsv")]),
         ("quantize-fit", ["quantize", "fit", "--k", "4", "--seed", "5",
                           "--in", s(paths["feats.emb"]), "--out", s(out / "cb.emb")]),
         ("quantize-assign", ["quantize", "assign", "--codebook", s(out / "cb.emb"),

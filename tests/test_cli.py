@@ -423,3 +423,34 @@ class TestCtcCollapse:
         assert self.run(tmp_path, self.UNITS, "--blank", "9") == (0, "0 3 0 5\n2\n\n7 0 7\n")
         assert self.run(tmp_path, self.UNITS, "--blank", "9", "--vocab-size", "8") == (1, None)
         assert self.run(tmp_path, self.UNITS, "--blank", "0", "--vocab-size", "6") == (1, None)
+
+    FRAMES = "3 3 0 4 4 0 0\n\n0 5 0 5\n"
+
+    @pytest.mark.parametrize("flags, want, err", [
+        (("--blank", "0"), (0, "3 4\n\n5 5\n"), ""),
+        (("--blank", "0", "--vocab-size", "6"), (0, "3 4\n\n5 5\n"), ""),
+        (("--blank", "0", "--vocab-size", "5"), (1, None), "unit 5 out of range [0, 5)"),
+        (("--blank", "9"), (0, "3 0 4 0\n\n0 5 0 5\n"), ""),
+        (("--blank", "9", "--vocab-size", "6"), (1, None), "blank 9 out of range [0, 6)"),
+    ])
+    def test_read_through_unit_lines(self, tmp_path, capsys, flags, want, err):
+        assert self.run(tmp_path, self.FRAMES, *flags) == want
+        assert err in capsys.readouterr().err
+
+    def test_negative_unit_range_spans_the_file(self, tmp_path, capsys):
+        # without --vocab-size, N of [0, N) comes from the largest unit in the file
+        assert self.run(tmp_path, "9 9\n1 -2\n", "--blank", "0") == (1, None)
+        assert "unit -2 out of range [0, 10)" in capsys.readouterr().err
+        # while the blank only has to fit each line's own vocabulary
+        assert self.run(tmp_path, "1 1\n2\n", "--blank", "7") == (0, "1\n2\n")
+
+
+class TestSeedFlag:
+    def test_seed_only_on_the_actions_that_read_it(self, workspace, tmp_path, capsys):
+        out = tmp_path / "stats.json"
+        assert dispatch(["manifest", "stats", "--in", str(workspace["m.tsv"]),
+                         "--out", str(out), "--seed", "1"]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+        assert dispatch(["balance", "--counts", str(workspace["counts.tsv"]),
+                         "--temperature", "2", "--out", str(out), "--seed", "1"]) == 0

@@ -198,6 +198,55 @@ class TestReadJsonl:
             read_manifest(path)
 
 
+def manifest_text(fmt, rows):
+    """``rows`` of ``(id, duration_s)`` as a manifest in ``fmt``, and the line
+    number of its first record; a row of ``None`` is a blank JSONL line."""
+    if fmt == "tsv":
+        return "id\tduration_s\n" + "".join(f"{i}\t{d}\n" for i, d in rows), 2
+    return "".join("\n" if row is None else json.dumps({"id": row[0], "duration_s": row[1]})
+                   + "\n" for row in rows), 1
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+class TestSharedReader:
+    """Both formats run through one line loop, its line numbers and its id check."""
+
+    def read_error(self, tmp_path, fmt, rows) -> tuple[int, ManifestError]:
+        text, first = manifest_text(fmt, rows)
+        path = tmp_path / f"m.{fmt}"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ManifestError) as info:
+            read_manifest(path)
+        return first, info.value
+
+    def test_repeated_id_fails_at_its_second_line(self, tmp_path, fmt):
+        first, exc = self.read_error(tmp_path, fmt, [("a", 1), ("b", 2), ("a", 3)])
+        assert str(exc) == f"line {first + 2}: duplicate utterance id 'a'"
+        assert exc.line == first + 2
+
+    def test_utterance_errors_carry_the_line(self, tmp_path, fmt):
+        first, exc = self.read_error(tmp_path, fmt, [("a", 1), ("b", -1.5)])
+        assert str(exc).startswith(f"line {first + 1}: duration_s must be finite and >= 0")
+        assert exc.line == first + 1
+
+    def test_record_error_precedes_the_repeated_id(self, tmp_path, fmt):
+        first, exc = self.read_error(tmp_path, fmt, [("a", 1), ("b", 2), ("a", "x")])
+        assert str(exc) == f"line {first + 2}: unparsable duration 'x'"
+
+
+class TestBlankJsonlLines:
+    def test_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        text, _ = manifest_text("jsonl", [None, ("a", 1), None, ("b", 2)])
+        path.write_text(text + "  \t \n", encoding="utf-8")
+        assert read_manifest(path).ids() == ("a", "b")
+        text, _ = manifest_text("jsonl", [("a", 1), None, None, ("a", 2)])
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ManifestError) as info:
+            read_manifest(path)
+        assert str(info.value) == "line 4: duplicate utterance id 'a'"
+
+
 class TestWrite:
     def test_tab_in_field_rejected(self, tmp_path):
         m = Manifest(records=(Utterance(id="a", text="has\ttab"),))

@@ -51,3 +51,12 @@ class TestMapChunks:
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
         assert square_all(threads=8, chunks=5) == [c * c for c in range(5)]
         assert pool == []
+
+    def test_cpu_count_unread_when_one_worker_could_run(self, pool, monkeypatch):
+        def cpu_count():
+            raise AssertionError("os.cpu_count read for a one-worker call")
+
+        monkeypatch.setattr(parallel.os, "cpu_count", cpu_count)
+        assert square_all(threads=1, chunks=5) == [c * c for c in range(5)]
+        assert square_all(threads=8, chunks=1) == [0]
+        assert pool == []
