@@ -34,7 +34,7 @@ from operator import ne
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .corpus import TSV_COLUMNS, Manifest, Utterance, get_field, set_field
+from .corpus import TSV_COLUMNS, Manifest, Utterance, get_field, join_units, set_field
 from .evalbleu import TOKENIZER_TAGS, tokenize
 from .fileio import join_lines, read_two_columns, split_lines, write_file
 
@@ -65,7 +65,7 @@ class AdapterError(RuntimeError):
 # --- adapters ----------------------------------------------------------------
 
 def _mock_char_units(line: str) -> str:
-    return " ".join(str(ord(ch) % 2500) for ch in line)
+    return join_units(ord(ch) % 2500 for ch in line)
 
 
 _BUILTIN_MOCKS: dict[str, Callable[[str], str]] = {

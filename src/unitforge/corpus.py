@@ -19,13 +19,39 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import index
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .fileio import join_lines, join_rows, read_lines, write_file
 
 
 TSV_COLUMNS = ("id", "lang", "audio", "duration_s", "speaker", "text", "units")
+
+
+def parse_units(text: str) -> tuple[int, ...]:
+    """The unit ids in ``text``: ``int()`` of each whitespace-separated token."""
+    return tuple(map(int, text.split()))
+
+
+def as_units(values: Iterable) -> tuple[int, ...]:
+    """``values`` as Python ints; a value other than text that ``int()``
+    would change (``1.9``, not ``4.0``) raises ``ValueError``."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))  # ints of any int type, at C speed
+    except TypeError:
+        units = tuple(map(int, values))
+    if units != values:  # integral floats skip the per-id loop too
+        for value, unit in zip(values, units):
+            if value != unit and not isinstance(value, (str, bytes)):
+                raise ValueError(f"non-integral unit id {value!r}")
+    return units
+
+
+def join_units(units: Iterable[int]) -> str:
+    """Unit ids as text: decimal, joined by single spaces."""
+    return " ".join(map(str, units))
 
 
 class ManifestError(ValueError):
@@ -57,7 +83,7 @@ class Utterance:
         if self.duration_s is not None:
             object.__setattr__(self, "duration_s", _check_duration(self.duration_s))
         if self.units is not None:
-            object.__setattr__(self, "units", tuple(map(int, self.units)))
+            object.__setattr__(self, "units", as_units(self.units))
 
 
 def _check_duration(value) -> float:
@@ -180,11 +206,10 @@ def _tsv_parser(first: str | None) -> Callable[[str], Utterance]:
         }
         extra = {k: v for k, v in row.items() if v != ""}
         try:
-            return Utterance(units=units.split() if units else None, extra=extra, **known)
-        except ManifestError:
-            raise
+            ids = parse_units(units) if units else None
         except ValueError:
             raise ManifestError(f"unparsable units field {units!r}") from None
+        return Utterance(units=ids, extra=extra, **known)
 
     return parse
 
@@ -257,7 +282,7 @@ def get_field(rec: Utterance, name: str) -> str:
     if name == "text":
         return rec.text or ""
     if name == "units":
-        return " ".join(map(str, rec.units)) if rec.units else ""
+        return join_units(rec.units or ())
     return rec.extra.get(name, "")
 
 
@@ -273,7 +298,7 @@ def set_field(rec: Utterance, name: str, value: str) -> Utterance:
     elif name == "duration_s":
         value = _check_duration(value) if value else None
     elif name == "units":
-        value = tuple(map(int, value.split())) or None
+        value = parse_units(value) or None
     elif name not in ("lang", "text"):
         name, value = "extra", {**rec.extra, name: value}
     new = object.__new__(type(rec))

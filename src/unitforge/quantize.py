@@ -42,12 +42,15 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import embed
+from .corpus import as_units, join_units, parse_units
 from .fileio import join_lines, read_lines, write_file
 from .parallel import chunk_ranges, map_chunks
 
@@ -66,10 +69,10 @@ class UnitSequence:
     def __post_init__(self):
         if self.vocab_size < 1:
             raise QuantizeError(f"vocab_size must be positive, got {self.vocab_size}")
-        units = tuple(map(int, self.units))
-        for u in units:
-            if not 0 <= u < self.vocab_size:
-                raise QuantizeError(f"unit {u} out of range [0, {self.vocab_size})")
+        units = as_units(self.units)
+        if units and not 0 <= min(units) <= max(units) < self.vocab_size:
+            bad = next(u for u in units if not 0 <= u < self.vocab_size)
+            raise QuantizeError(f"unit {bad} out of range [0, {self.vocab_size})")
         object.__setattr__(self, "units", units)
 
     def __len__(self) -> int:
@@ -426,8 +429,6 @@ def assign_units(codebook: Codebook, features: np.ndarray, threads: int = 1) -> 
     Features follow the module's input rule, so float32 rows are read in place.
     """
     feats = _rows(features)
-    if feats.shape[0] == 0:
-        return UnitSequence(vocab_size=codebook.k, units=())
     if feats.shape[1] != codebook.dim:
         raise QuantizeError(f"feature dim {feats.shape[1]} != codebook dim {codebook.dim}")
     labels = _nearest(feats, codebook._screen, threads)
@@ -436,27 +437,21 @@ def assign_units(codebook: Codebook, features: np.ndarray, threads: int = 1) -> 
 
 def dedup_units(seq: UnitSequence) -> UnitSequence:
     """Collapse each run of equal adjacent units to its first element."""
-    out = []
-    prev = None
-    for u in seq.units:
-        if u != prev:
-            out.append(u)
-            prev = u
-    return UnitSequence(vocab_size=seq.vocab_size, units=tuple(out))
+    return UnitSequence(vocab_size=seq.vocab_size, units=tuple(u for u, _ in groupby(seq.units)))
 
 
 def ctc_collapse(frame_labels: Sequence[int], blank: int,
                  vocab_size: int | None = None) -> UnitSequence:
     """Greedy CTC path collapse: merge repeats, then delete blank symbols. The
     vocabulary defaults to the smallest that holds the labels and ``blank``."""
-    labels = tuple(map(int, frame_labels))
+    labels = as_units(frame_labels)
     if vocab_size is None:
         vocab_size = max(max(labels, default=0), blank) + 1
     if not 0 <= blank < vocab_size:
         raise QuantizeError(f"blank {blank} out of range [0, {vocab_size})")
-    collapsed = dedup_units(UnitSequence(vocab_size=vocab_size, units=labels))
+    # collapsing drops only the in-range blank, so the check names the first bad label
     return UnitSequence(vocab_size=vocab_size,
-                        units=tuple(u for u in collapsed.units if u != blank))
+                        units=tuple(u for u, _ in groupby(labels) if u != blank))
 
 
 def write_codebook(codebook: Codebook, path: str | Path) -> None:
@@ -498,7 +493,10 @@ def read_codebook(path: str | Path) -> Codebook:
         lines = list(read_lines(meta_path))
         if not lines:
             raise QuantizeError(f"codebook sidecar {meta_path} is empty")
-        meta = json.loads(lines[0])
+        try:
+            meta = json.loads(lines[0])
+        except json.JSONDecodeError:
+            meta = None
         if not isinstance(meta, dict):
             raise QuantizeError(f"codebook sidecar {meta_path} does not hold a JSON object")
         if meta.get("k") != matrix.rows or meta.get("dim") != matrix.dim:
@@ -518,13 +516,24 @@ def read_codebook(path: str | Path) -> Codebook:
 
 
 def read_unit_lines(path: str | Path, vocab_size: int | None = None) -> list[UnitSequence]:
-    """Read one unit sequence per line (space-separated decimal ids)."""
-    parsed = [tuple(map(int, line.split())) for line in read_lines(path)]
+    """Read one unit sequence per line (``corpus.parse_units``). The vocabulary
+    defaults to the smallest that holds every id in the file. An unparsable
+    token or an id out of range raises ``QuantizeError`` naming ``PATH:LINE``."""
+    parsed = list(_each_line(path, parse_units, read_lines(path)))
     if vocab_size is None:
         vocab_size = max((max(units) for units in parsed if units), default=0) + 1
-    return [UnitSequence(vocab_size=vocab_size, units=units) for units in parsed]
+    return list(_each_line(path, partial(UnitSequence, vocab_size), parsed))
+
+
+def _each_line(path: str | Path, build: Callable, items: Iterable) -> Iterator:
+    """``build`` of each item, the N-th item being line N of ``path``."""
+    for lineno, item in enumerate(items, start=1):
+        try:
+            yield build(item)
+        except ValueError as exc:
+            raise QuantizeError(f"{path}:{lineno}: {exc}") from None
 
 
 def write_unit_lines(sequences: Iterable[UnitSequence], path: str | Path) -> None:
-    lines = (" ".join(map(str, seq.units)) for seq in sequences)
+    lines = (join_units(seq.units) for seq in sequences)
     write_file(path, join_lines(lines, QuantizeError))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import build_cli_workspace, cli_command_matrix
@@ -12,6 +13,7 @@ from unitforge import mine
 from unitforge.cascade import PipelineSpec, make_adapter, run_cascade
 from unitforge.cli import dispatch
 from unitforge.corpus import Manifest, Utterance
+from unitforge.embed import EmbeddingMatrix, write_embeddings
 
 
 @pytest.fixture(autouse=True)
@@ -392,6 +394,42 @@ class TestQuantizeArguments:
                          "--in", str(workspace["feats.emb"]), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "cb.emb.meta.jsonl" in err and repr(key) in err
+        assert not out.exists()
+
+
+    def test_empty_features_of_the_wrong_dim_exit_1(self, workspace, tmp_path, capsys):
+        book, feats, out = tmp_path / "cb.emb", tmp_path / "empty.emb", tmp_path / "units.txt"
+        assert self.fit(workspace, book) == 0
+        dim = json.loads((tmp_path / "cb.emb.meta.jsonl").read_text())["dim"]
+        write_embeddings(EmbeddingMatrix(data=np.empty((0, dim + 1), np.float32)), feats)
+        assert dispatch(["quantize", "assign", "--codebook", str(book),
+                         "--in", str(feats), "--out", str(out)]) == 1
+        assert f"feature dim {dim + 1} != codebook dim {dim}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_codebook_sidecar_not_json_exits_1(self, workspace, tmp_path, capsys):
+        book, out = tmp_path / "cb.emb", tmp_path / "units.txt"
+        assert self.fit(workspace, book) == 0
+        (tmp_path / "cb.emb.meta.jsonl").write_text("{k: 2}\n")
+        assert dispatch(["quantize", "assign", "--codebook", str(book),
+                         "--in", str(workspace["feats.emb"]), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"codebook sidecar {book}.meta.jsonl does not hold a JSON object" in err
+        assert not out.exists()
+
+
+class TestUnitLineErrors:
+    @pytest.mark.parametrize("action", [["dedup"], ["ctc-collapse", "--blank", "0"]])
+    @pytest.mark.parametrize("vocab", [(), ("--vocab-size", "8")])
+    @pytest.mark.parametrize("text, message", [
+        ("3 3\n1 x\n", "2: invalid literal for int() with base 10: 'x'"),
+        ("3 3\n\n2 -1\n", "3: unit -1 out of range [0, "),
+    ])
+    def test_bad_line_named(self, tmp_path, capsys, action, vocab, text, message):
+        src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        src.write_text(text, encoding="utf-8")
+        assert dispatch(["units", *action, "--in", str(src), "--out", str(out), *vocab]) == 1
+        assert f"unitforge: error: {src}:{message}" in capsys.readouterr().err
         assert not out.exists()
 
 

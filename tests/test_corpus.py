@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from unitforge.corpus import (
-    Manifest, ManifestError, Segment, Utterance,
-    get_field, manifest_stats, read_manifest, set_field, write_manifest,
+    Manifest, ManifestError, Segment, Utterance, as_units,
+    get_field, join_units, manifest_stats, parse_units, read_manifest, set_field, write_manifest,
 )
 
 
@@ -44,6 +44,23 @@ class TestTypes:
         assert rec.extra == {"zh": "你好"}
         new = set_field(rec, "units", "4 5")
         assert new.extra is rec.extra and new.units == (4, 5) and rec.units == tuple(range(500))
+
+    def test_units_rule(self):
+        assert parse_units(" 4\t0  12\n") == (4, 0, 12) and parse_units(" ") == ()
+        assert join_units((4, 0, 12)) == "4 0 12" and join_units(()) == ""
+        for values in ([4, 0, 3], ("4", " 0", "3"), (4.0, 0, True + 2), iter((4, 0, 3))):
+            units = as_units(values)
+            assert units == (4, 0, 3) and all(type(u) is int for u in units)
+        with pytest.raises(ValueError, match="invalid literal"):
+            parse_units("1 2.0")
+
+    def test_non_integral_units_refused(self):
+        with pytest.raises(ValueError, match="non-integral unit id 1.9"):
+            Utterance(id="a", units=(1.9,))
+        with pytest.raises(ValueError, match="non-integral unit id 0.5"):
+            as_units([1, 0.5])
+        assert Utterance(id="a", units=(2.0, 3)).units == (2, 3)
+        assert set_field(Utterance(id="a"), "units", " ").units is None
 
     def test_segment_bounds(self):
         Segment("a", 0.0, 1.0)
@@ -131,6 +148,15 @@ class TestReadTsv:
                 read_manifest(path)
             assert str(info.value) == f"line 3: unparsable units field {bad!r}"
             assert info.value.line == 3
+
+    def test_bad_units_reported_before_bad_id_or_duration(self, tmp_path):
+        # the units cell is parsed before the record is built and checked
+        path = tmp_path / "m.tsv"
+        for row in ("\ten\t\t\t\t\t4 x", "u1\ten\t\t-1\t\t\t4 x"):
+            path.write_text("id\tlang\taudio\tduration_s\tspeaker\ttext\tunits\n" + row + "\n")
+            with pytest.raises(ManifestError) as info:
+                read_manifest(path)
+            assert str(info.value) == "line 2: unparsable units field '4 x'"
 
     def test_whitespace_units_read_as_empty(self, tmp_path):
         path = tmp_path / "m.tsv"

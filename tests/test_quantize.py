@@ -167,6 +167,11 @@ class TestAssignUnits:
         with pytest.raises(QuantizeError, match="dim"):
             assign_units(cb, np.zeros((4, 5)))
 
+    def test_dim_checked_before_the_empty_shortcut(self):
+        cb = Codebook(k=3, dim=3, centroids=np.zeros((3, 3), dtype=np.float32), seed=0)
+        with pytest.raises(QuantizeError, match="feature dim 5 != codebook dim 3"):
+            assign_units(cb, np.empty((0, 5), np.float32))
+
     def test_matches_oracle_exactly(self, rng):
         for _ in range(10):
             n = int(rng.integers(1, 200))
@@ -885,13 +890,38 @@ class TestUnitOps:
         assert path.read_text(encoding="utf-8") == "11 0 3\n\n7\n"
         assert read_unit_lines(path) == seqs
         path.write_text("1 2\n3 x 4\n", encoding="utf-8")
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(QuantizeError) as info:
             read_unit_lines(path)
-        assert type(info.value) is ValueError
-        assert str(info.value) == "invalid literal for int() with base 10: 'x'"
+        assert str(info.value) == f"{path}:2: invalid literal for int() with base 10: 'x'"
         path.write_text("1 2\n3 -4\n", encoding="utf-8")
         with pytest.raises(QuantizeError, match=r"unit -4 out of range \[0, 4\)"):
             read_unit_lines(path)
+
+    @pytest.mark.parametrize("text, vocab_size, message", [
+        ("1 2\n3 -4\n", None, "2: unit -4 out of range [0, 4)"),
+        ("1 2\n\n3\n", 3, "3: unit 3 out of range [0, 3)"),
+        ("5\n1 1.5\n", 9, "2: invalid literal for int() with base 10: '1.5'"),
+        ("7 7\n\n2 0x1\n", None, "3: invalid literal for int() with base 10: '0x1'"),
+    ])
+    def test_unit_line_errors_name_path_and_line(self, tmp_path, text, vocab_size, message):
+        path = tmp_path / "units.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(QuantizeError) as info:
+            read_unit_lines(path, vocab_size)
+        assert str(info.value) == f"{path}:{message}"
+
+    def test_non_integral_units_refused(self):
+        for units, bad in [((1.9, np.float64(2.7)), 1.9), ((2, np.float64(2.7)), np.float64(2.7)),
+                           ((0, 4.5), 4.5), (np.array([1.0, 3.25]), np.float64(3.25))]:
+            with pytest.raises(ValueError) as info:
+                UnitSequence(vocab_size=5, units=units)
+            assert str(info.value) == f"non-integral unit id {bad!r}"
+        with pytest.raises(ValueError, match="NaN"):
+            UnitSequence(vocab_size=5, units=(float("nan"),))
+        # 0.5 no longer truncates to the blank and vanishes
+        with pytest.raises(ValueError, match="non-integral unit id 1.2"):
+            ctc_collapse([1.2, 1.9, 0.5, 2.0], blank=0)
+        assert ctc_collapse([1.0, 1, 0.0, np.float32(2.0)], blank=0).units == (1, 2)
 
     def test_ctc_canonical(self):
         assert ctc_collapse([3, 3, 0, 4, 4, 0, 0], blank=0).units == (3, 4)
@@ -924,6 +954,106 @@ class TestUnitOps:
         assert collapsed.units == via_dedup
 
 
+def oracle_check(units, vocab_size):
+    """The range check as one loop over the converted units."""
+    units = tuple(int(u) for u in units)
+    for u in units:
+        if not 0 <= u < vocab_size:
+            raise QuantizeError(f"unit {u} out of range [0, {vocab_size})")
+    return units
+
+
+def oracle_dedup(units, vocab_size):
+    """Run collapse as a loop that keeps each unit unlike its predecessor."""
+    out = []
+    prev = None
+    for u in oracle_check(units, vocab_size):
+        if u != prev:
+            out.append(u)
+            prev = u
+    return tuple(out)
+
+
+def oracle_ctc(frame_labels, blank, vocab_size=None):
+    """CTC collapse as range check, run collapse, then blank removal."""
+    labels = tuple(int(u) for u in frame_labels)
+    if vocab_size is None:
+        vocab_size = max(max(labels, default=0), blank) + 1
+    if not 0 <= blank < vocab_size:
+        raise QuantizeError(f"blank {blank} out of range [0, {vocab_size})")
+    return tuple(u for u in oracle_dedup(labels, vocab_size) if u != blank), vocab_size
+
+
+def outcome(fn, *args, **kwargs):
+    """``fn``'s result, or the type and text of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def unit_cases(seed: int, count: int) -> list[tuple[int, ...]]:
+    """Seeded label sequences: runs of ids in [-2, 12), blanks (0 or 9) at
+    either end, and the empty, all-blank and single-id edge cases."""
+    rng = np.random.default_rng(seed)
+    cases = [(), (0,), (9,), (0,) * 7, (9,) * 5, (0, 0, 3, 3, 0), (9, 4, 4, 9, 9), (-1,),
+             (0, -2, 0), (10,), (3, 3, 12, 12, 3)]
+    for _ in range(count):
+        runs = rng.integers(1, 6, size=int(rng.integers(1, 25)))
+        pool = (-2, -1, 10, 11) if rng.random() < 0.2 else ()
+        values = rng.choice((0, 9, *range(1, 9), *pool), size=len(runs))
+        units = np.repeat(values, runs).tolist()
+        for end in (0, -1):
+            if rng.random() < 0.5:
+                units.insert(len(units) if end else 0, int(rng.choice((0, 9))))
+        cases.append(tuple(units))
+    return cases
+
+
+class TestUnitOpsAgainstLoops:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_dedup_matches_loop(self, seed):
+        def dedup(units, vocab_size):
+            out = dedup_units(UnitSequence(vocab_size, units))
+            return out.units, out.vocab_size
+
+        for units in unit_cases(seed, 200):
+            for vocab_size in (10, 12, 1):
+                want = outcome(lambda: (oracle_dedup(units, vocab_size), vocab_size))
+                assert outcome(dedup, units, vocab_size) == want, units
+
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_ctc_matches_loop(self, seed):
+        def ctc(units, blank, vocab_size):
+            out = ctc_collapse(units, blank, vocab_size)
+            return out.units, out.vocab_size
+
+        for units in unit_cases(seed, 200):
+            for blank in (0, 9, 11, -1):
+                for vocab_size in (None, 10, 12):
+                    want = outcome(oracle_ctc, units, blank, vocab_size)
+                    assert outcome(ctc, units, blank, vocab_size) == want, (units, blank)
+
+    def test_one_unit_sequence_per_call(self, monkeypatch):
+        built = []
+        post_init = UnitSequence.__post_init__
+
+        def spy(seq):
+            built.append(seq)
+            post_init(seq)
+
+        seq = UnitSequence(vocab_size=10, units=(0, 0, 3, 3, 0, 5, 5, 9))
+        empty = UnitSequence(vocab_size=10)
+        monkeypatch.setattr(UnitSequence, "__post_init__", spy)
+        for call in (lambda: dedup_units(seq), lambda: dedup_units(empty),
+                     lambda: ctc_collapse(seq.units, blank=0),
+                     lambda: ctc_collapse(seq.units, blank=9, vocab_size=10),
+                     lambda: ctc_collapse([], blank=0)):
+            built.clear()
+            call()
+            assert len(built) == 1
+
+
 class TestCodebookIO:
     def test_round_trip(self, rng, tmp_path):
         feats = rng.normal(size=(30, 3))
@@ -950,6 +1080,16 @@ class TestCodebookIO:
         (tmp_path / "codebook.emb.meta.jsonl").write_text(first_line + "\n")
         with pytest.raises(QuantizeError, match=r"codebook\.emb\.meta\.jsonl does not hold a JSON object"):
             read_codebook(path)
+
+    @pytest.mark.parametrize("first_line", ["{", "{'k': 4}", "k=4", "{\"k\": 4,}"])
+    def test_sidecar_not_json_names_it(self, rng, tmp_path, first_line):
+        path = tmp_path / "codebook.emb"
+        write_codebook(kmeans_fit(rng.normal(size=(30, 3)), k=4, seed=5), path)
+        (tmp_path / "codebook.emb.meta.jsonl").write_text(first_line + "\n")
+        with pytest.raises(QuantizeError) as info:
+            read_codebook(path)
+        assert str(info.value) == (
+            f"codebook sidecar {path}.meta.jsonl does not hold a JSON object")
 
     @pytest.mark.parametrize("key, text", [
         ("seed", "null"), ("seed", "1e400"), ("seed", "1.7"), ("seed", "true"), ("seed", '"7"'),
