@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fileio import read_two_columns
+from .fileio import numbered, two_columns
 
 
 class BalanceError(ValueError):
@@ -138,20 +138,20 @@ def sample_schedule(dist: SamplingDistribution, pools: Mapping[str, Sequence[str
 def read_counts_tsv(path: str | Path) -> LanguageCounts:
     """Two-column TSV ``lang<TAB>n``; a non-numeric first data row is a header."""
     entries = []
-    for row, (lineno, lang, count) in enumerate(read_two_columns(path, BalanceError)):
-        try:
-            value = float(count)
-        except ValueError:
-            if row == 0:
-                continue
-            raise BalanceError(f"{path}:{lineno}: unparsable count {count!r}") from None
-        entries.append((lang, value))
+    with numbered(path, BalanceError) as lines:
+        for row, (lang, count) in enumerate(two_columns(lines)):
+            try:
+                entries.append((lang, float(count)))
+            except ValueError:
+                if row:  # a non-numeric first row is the header
+                    raise BalanceError(f"unparsable count {count!r}") from None
     return LanguageCounts(entries=tuple(entries))
 
 
 def read_pools_tsv(path: str | Path) -> dict[str, list[str]]:
     """Two-column TSV ``lang<TAB>id``, one pool member per line."""
     pools: dict[str, list[str]] = {}
-    for _, lang, item in read_two_columns(path, BalanceError):
-        pools.setdefault(lang, []).append(item)
+    with numbered(path, BalanceError) as lines:
+        for lang, item in two_columns(lines):
+            pools.setdefault(lang, []).append(item)
     return pools

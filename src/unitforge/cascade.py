@@ -6,8 +6,8 @@ without pulling them into this package. Two endpoint schemes exist:
 * ``mock:NAME`` - deterministic in-process functions for tests and dry
   runs (``identity``, ``upper``, ``lower``, ``reverse``, ``char_units``,
   ``fail``); any other value is read as a two-column TSV lookup table
-  mapping input line to output line. Mocks are called directly and
-  never cached.
+  mapping input line to output line (``fileio.read_table``), each input
+  on one line only. Mocks are called directly and never cached.
 * ``exec:COMMAND`` - an external command speaking a line protocol in
   UTF-8, whatever the locale: one input string per line on stdin, one
   output string per line on stdout, line-aligned. Its reply is split by
@@ -36,7 +36,7 @@ from typing import Callable, Mapping, Sequence
 
 from .corpus import TSV_COLUMNS, Manifest, Utterance, get_field, join_units, set_field
 from .evalbleu import TOKENIZER_TAGS, tokenize
-from .fileio import join_lines, read_two_columns, split_lines, write_file
+from .fileio import join_lines, read_table, read_text, split_lines, write_file
 
 # each filter kind's params and their defaults; a param's type is its default's
 _FILTER_DEFAULTS: dict[str, dict[str, object]] = {
@@ -139,7 +139,7 @@ class Adapter:
     def _load_table(path: Path) -> dict[str, str]:
         if not path.exists():
             raise CascadeError(f"mock table {path} does not exist")
-        return {key: value for _, key, value in read_two_columns(path, CascadeError)}
+        return read_table(path, CascadeError)
 
     # cache (exec: only) ---------------------------------------------------------
 
@@ -307,7 +307,14 @@ class PipelineSpec:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "PipelineSpec":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            obj = json.loads(read_text(path, CascadeError))
+        except json.JSONDecodeError as exc:
+            raise CascadeError(f"{path}:{exc.lineno}: {exc.msg} at column {exc.colno}") from None
+        try:
+            return cls.from_dict(obj)
+        except CascadeError as exc:
+            raise CascadeError(f"{path}: {exc}") from None
 
 
 # --- filters -----------------------------------------------------------------

@@ -24,7 +24,7 @@ import json
 import sys
 
 from . import cascade, corpus, evalbleu
-from .fileio import join_lines, read_lines, read_two_columns, write_file
+from .fileio import join_lines, numbered, read_table, write_file
 
 _VALIDATION_ERRORS = (
     ValueError,  # covers every module's *Error validation family
@@ -176,7 +176,7 @@ def _cmd_mine_simsearch_eval(args) -> int:
 
     audio = _load_side(args.audio, not args.no_normalize)
     text = _load_side(args.text, not args.no_normalize)
-    gold = {aid: tid for _, aid, tid in read_two_columns(args.gold, mine.MiningError)}
+    gold = read_table(args.gold, mine.MiningError)
     rate = mine.simsearch_error_rate(audio, text, gold, k_nn=args.knn, threads=args.threads)
     report = {
         "total": audio.rows,
@@ -210,9 +210,13 @@ def _cmd_balance(args) -> int:
     return 0
 
 
+def _read_corpus(path: str, scheme: str) -> evalbleu.TokenizedCorpus:
+    with numbered(path, evalbleu.BleuError) as lines:
+        return evalbleu.tokenize_corpus(lines, scheme)
+
+
 def _cmd_bleu(args) -> int:
-    hyps = evalbleu.tokenize_corpus(read_lines(args.hyp), args.tokenizer)
-    refs = evalbleu.tokenize_corpus(read_lines(args.ref), args.tokenizer)
+    hyps, refs = (_read_corpus(path, args.tokenizer) for path in (args.hyp, args.ref))
     report = evalbleu.corpus_bleu(hyps, refs, smoothing=args.smoothing)
     _write_json(report.to_dict(), args.out, args.stdout, default_name="bleu.json")
     return 0

@@ -23,7 +23,7 @@ from operator import index
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .fileio import join_lines, join_rows, read_lines, write_file
+from .fileio import join_lines, join_rows, numbered, write_file
 
 
 TSV_COLUMNS = ("id", "lang", "audio", "duration_s", "speaker", "text", "units")
@@ -55,13 +55,7 @@ def join_units(units: Iterable[int]) -> str:
 
 
 class ManifestError(ValueError):
-    """Manifest parse or validation failure; carries the offending line."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    """Manifest parse or validation failure."""
 
 
 @dataclass(frozen=True)
@@ -159,25 +153,13 @@ def read_manifest(path: str | Path, fmt: str | None = None) -> Manifest:
     """Read a manifest file; ``fmt`` is inferred from the suffix when omitted.
 
     One loop serves both formats: it hands each line to the format's record
-    parser and puts the line number on any :class:`ManifestError`, the id
-    check of :class:`Manifest` included."""
+    parser, and any :class:`ManifestError`, the id check of :class:`Manifest`
+    included, names ``PATH:LINE`` (``fileio.numbered``)."""
     path = Path(path)
     fmt = _infer_format(path, fmt)
-    lines = enumerate(read_lines(path), start=1)
-    lineno = 1
-
-    def records() -> Iterator[Utterance]:
-        nonlocal lineno
-        parse = _tsv_parser(next(lines, (1, None))[1]) if fmt == "tsv" else _parse_jsonl
-        for lineno, raw in lines:
-            rec = parse(raw)
-            if rec is not None:
-                yield rec
-
-    try:
-        return Manifest(records=records())  # checks each id as the loop yields it
-    except ManifestError as exc:
-        raise ManifestError(str(exc), lineno) from None
+    with numbered(path, ManifestError) as lines:
+        parse = _tsv_parser(next(lines, None)) if fmt == "tsv" else _parse_jsonl
+        return Manifest(records=filter(None, map(parse, lines)))
 
 
 def _tsv_parser(first: str | None) -> Callable[[str], Utterance]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 import numpy as np
 
-from .fileio import join_lines, read_lines, write_file
+from .fileio import join_lines, numbered, write_file
 
 EMB1_MAGIC = b"EMB1"
 _BLOCK = 256  # rows per float64 block in l2_normalize and row_norms
@@ -107,7 +107,13 @@ def read_embeddings(path: str | Path) -> EmbeddingMatrix:
     ids = None
     ids_path = f"{path}.ids"
     if os.path.exists(ids_path):
-        ids = tuple(read_lines(ids_path))
+        seen: dict[str, None] = {}
+        with numbered(ids_path, EmbeddingError) as lines:
+            for row_id in lines:
+                if row_id in seen:
+                    raise EmbeddingError(f"repeated id {row_id!r}")
+                seen[row_id] = None
+        ids = tuple(seen)
     return EmbeddingMatrix(data=data, ids=ids)
 
 

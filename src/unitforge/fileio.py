@@ -4,6 +4,8 @@ Reading: ``read_lines`` (a file) and ``split_lines`` (text in memory) hold
 the one line rule. Text is strict UTF-8. A line ends at ``"\\n"`` or
 ``"\\r\\n"`` and at no other character, so U+2028, U+0085, ``\\v``,
 ``\\f`` and a lone ``\\r`` are data. A final line end adds no empty line.
+Each line is decoded on its own, and every reader draws its lines inside
+``numbered``, which names the line of an input error: ``PATH:LINE: message``.
 
 Joining: ``join_lines`` and ``join_rows`` (TSV) build the text that the
 reader splits back into the same lines and cells, each line ending with
@@ -25,24 +27,20 @@ from __future__ import annotations
 
 import io
 import os
+from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Sequence
 
 
-def _lines(stream: Iterable[str]) -> Iterator[str]:
-    """Lines of a stream opened with ``newline="\\n"``, line ends removed."""
-    for line in stream:
-        if line.endswith("\r\n"):
-            yield line[:-2]
-        elif line.endswith("\n"):
-            yield line[:-1]
-        else:
-            yield line
+def _lines(lines: Iterable[str]) -> Iterator[str]:
+    """``lines`` without their line ends, ``"\\n"`` or ``"\\r\\n"``."""
+    for line in lines:
+        yield line[:-2] if line.endswith("\r\n") else line[:-1] if line.endswith("\n") else line
 
 
 def read_lines(path: str | os.PathLike) -> Iterator[str]:
     """The lines of the UTF-8 text file ``path``, one at a time."""
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        yield from _lines(fh)
+    with open(path, "rb") as fh:
+        yield from _lines(map(bytes.decode, fh))
 
 
 def split_lines(text: str) -> list[str]:
@@ -50,17 +48,62 @@ def split_lines(text: str) -> list[str]:
     return list(_lines(io.StringIO(text, newline="\n")))
 
 
-def read_two_columns(path: str | os.PathLike,
-                     error: Callable[[str], Exception]) -> Iterator[tuple[int, str, str]]:
-    """``(line number, first, second)`` for each line of a two-column TSV;
-    a line of whitespace only is skipped, any other without one tab raises ``error``."""
-    for lineno, line in enumerate(read_lines(path), start=1):
+@contextmanager
+def numbered(path: str | os.PathLike, error: Callable[[str], Exception],
+             items: Iterable | None = None) -> Iterator[Iterator]:
+    """The lines of ``path`` (or ``items``, the N-th standing for line N) for
+    the block to draw. A ``ValueError`` raised in the block while line N is
+    the last one drawn becomes ``error("PATH:N: message")``, or ``PATH: ``
+    before line 1; a line that is not UTF-8 gives ``PATH:N: not UTF-8``."""
+    drawn = 0
+
+    def count(lines: Iterable) -> Iterator:
+        nonlocal drawn
+        for drawn, line in enumerate(lines, start=1):
+            yield line
+
+    try:
+        yield count(read_lines(path) if items is None else items)
+    except UnicodeDecodeError:  # raised while the next line was drawn
+        raise error(f"{path}:{drawn + 1}: not UTF-8") from None
+    except ValueError as exc:
+        raise error(f"{path}:{drawn}: {exc}" if drawn else f"{path}: {exc}") from None
+
+
+def read_text(path: str | os.PathLike, error: Callable[[str], Exception]) -> str:
+    """The whole UTF-8 text file ``path``; bytes that are not UTF-8 raise
+    ``error("PATH:N: not UTF-8")``, line N holding them."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8") from None
+
+
+def two_columns(lines: Iterable[str]) -> Iterator[tuple[str, str]]:
+    """The two tab-separated cells of each line; a line of whitespace only is
+    skipped, any other without exactly one tab raises ``ValueError``."""
+    for line in lines:
         if not line.strip():
             continue
         cols = line.split("\t")
         if len(cols) != 2:
-            raise error(f"{path}:{lineno}: expected 2 tab-separated columns, got {len(cols)}")
-        yield lineno, cols[0], cols[1]
+            raise ValueError(f"expected 2 tab-separated columns, got {len(cols)}")
+        yield cols[0], cols[1]
+
+
+def read_table(path: str | os.PathLike, error: Callable[[str], Exception]) -> dict[str, str]:
+    """The two-column TSV ``path`` as a lookup table from its first cells to
+    its second; a key on more than one line raises ``error`` at its second."""
+    table: dict[str, str] = {}
+    with numbered(path, error) as lines:
+        for key, value in two_columns(lines):
+            if key in table:
+                raise ValueError(f"repeated key {key!r}")
+            table[key] = value
+    return table
 
 
 def join_lines(lines: Iterable[str], error: Callable[[str], Exception]) -> str:

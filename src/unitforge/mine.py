@@ -37,7 +37,7 @@ import numpy as np
 
 from .corpus import ManifestError, Segment
 from .embed import EmbeddingMatrix, cosine_block, row_norms
-from .fileio import join_rows, read_lines, write_file
+from .fileio import join_rows, numbered, write_file
 from .parallel import chunk_ranges, map_chunks
 
 
@@ -434,20 +434,17 @@ def write_pairs(pairs: Sequence[MinedPair], path: str | Path) -> None:
 
 
 def read_pairs(path: str | Path) -> list[MinedPair]:
-    lines = read_lines(path)
-    if tuple(next(lines, "").split("\t")) != PAIRS_HEADER:
-        raise MiningError(f"{path}: missing or invalid pairs header")
     pairs = []
-    for lineno, raw in enumerate(lines, start=2):
-        cols = raw.split("\t")
-        if len(cols) != len(PAIRS_HEADER):
-            raise MiningError(f"{path}:{lineno}: expected {len(PAIRS_HEADER)} columns")
-        try:
+    with numbered(path, MiningError) as lines:
+        if tuple(next(lines, "").split("\t")) != PAIRS_HEADER:
+            raise MiningError("missing or invalid pairs header")
+        for raw in lines:
+            cols = raw.split("\t")
+            if len(cols) != len(PAIRS_HEADER):
+                raise MiningError(f"expected {len(PAIRS_HEADER)} columns")
             score = float(cols[0])
             src_seg = Segment(cols[3], float(cols[4]), float(cols[5])) if cols[3] else None
             tgt_seg = Segment(cols[6], float(cols[7]), float(cols[8])) if cols[6] else None
             pairs.append(MinedPair(src_id=cols[1], tgt_id=cols[2], score=score,
                                    src_segment=src_seg, tgt_segment=tgt_seg))
-        except ValueError as exc:
-            raise MiningError(f"{path}:{lineno}: {exc}") from None
     return pairs

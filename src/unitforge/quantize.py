@@ -43,15 +43,16 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import groupby
+from itertools import compress
+from operator import ne
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import embed
 from .corpus import as_units, join_units, parse_units
-from .fileio import join_lines, read_lines, write_file
+from .fileio import join_lines, numbered, write_file
 from .parallel import chunk_ranges, map_chunks
 
 
@@ -435,9 +436,14 @@ def assign_units(codebook: Codebook, features: np.ndarray, threads: int = 1) -> 
     return UnitSequence(vocab_size=codebook.k, units=labels.tolist())
 
 
+def _run_heads(units: tuple[int, ...]) -> Iterator[int]:
+    """The first unit of each run of equal adjacent units."""
+    return compress(units, map(ne, units, (None, *units)))
+
+
 def dedup_units(seq: UnitSequence) -> UnitSequence:
     """Collapse each run of equal adjacent units to its first element."""
-    return UnitSequence(vocab_size=seq.vocab_size, units=tuple(u for u, _ in groupby(seq.units)))
+    return UnitSequence(vocab_size=seq.vocab_size, units=tuple(_run_heads(seq.units)))
 
 
 def ctc_collapse(frame_labels: Sequence[int], blank: int,
@@ -451,7 +457,7 @@ def ctc_collapse(frame_labels: Sequence[int], blank: int,
         raise QuantizeError(f"blank {blank} out of range [0, {vocab_size})")
     # collapsing drops only the in-range blank, so the check names the first bad label
     return UnitSequence(vocab_size=vocab_size,
-                        units=tuple(u for u, _ in groupby(labels) if u != blank))
+                        units=tuple(u for u in _run_heads(labels) if u != blank))
 
 
 def write_codebook(codebook: Codebook, path: str | Path) -> None:
@@ -490,11 +496,12 @@ def read_codebook(path: str | Path) -> Codebook:
     iters_run = None
     final_inertia = None
     if meta_path.exists():
-        lines = list(read_lines(meta_path))
-        if not lines:
+        with numbered(meta_path, QuantizeError) as lines:
+            first = next(lines, None)
+        if first is None:
             raise QuantizeError(f"codebook sidecar {meta_path} is empty")
         try:
-            meta = json.loads(lines[0])
+            meta = json.loads(first)
         except json.JSONDecodeError:
             meta = None
         if not isinstance(meta, dict):
@@ -519,19 +526,12 @@ def read_unit_lines(path: str | Path, vocab_size: int | None = None) -> list[Uni
     """Read one unit sequence per line (``corpus.parse_units``). The vocabulary
     defaults to the smallest that holds every id in the file. An unparsable
     token or an id out of range raises ``QuantizeError`` naming ``PATH:LINE``."""
-    parsed = list(_each_line(path, parse_units, read_lines(path)))
+    with numbered(path, QuantizeError) as lines:
+        parsed = list(map(parse_units, lines))
     if vocab_size is None:
         vocab_size = max((max(units) for units in parsed if units), default=0) + 1
-    return list(_each_line(path, partial(UnitSequence, vocab_size), parsed))
-
-
-def _each_line(path: str | Path, build: Callable, items: Iterable) -> Iterator:
-    """``build`` of each item, the N-th item being line N of ``path``."""
-    for lineno, item in enumerate(items, start=1):
-        try:
-            yield build(item)
-        except ValueError as exc:
-            raise QuantizeError(f"{path}:{lineno}: {exc}") from None
+    with numbered(path, QuantizeError, parsed) as lines:
+        return list(map(partial(UnitSequence, vocab_size), lines))
 
 
 def write_unit_lines(sequences: Iterable[UnitSequence], path: str | Path) -> None:

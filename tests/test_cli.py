@@ -168,7 +168,7 @@ class TestExitCodes:
             "adapters": {"mt": "mock:identity"},
             "stages": [{"adapter": "mt", "in": "text", "out": "translation"}]}))
         assert dispatch(argv + ["--in", "m.jsonl"]) == 1
-        assert "line 2: lone surrogate" in capsys.readouterr().err
+        assert "m.jsonl:2: lone surrogate" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl", "spec.json"]
 
     def test_mine_choices_are_the_enum_values(self, capsys):

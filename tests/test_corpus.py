@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -91,14 +92,14 @@ class TestReadTsv:
         path.write_text("id\tlang\taudio\tduration_s\tspeaker\ttext\tunits\n"
                         "u1\ten\t\t\t\t\t\n"
                         "u1\ten\t\t\t\t\t\n")
-        with pytest.raises(ManifestError, match="line 3"):
+        with pytest.raises(ManifestError, match=re.escape(f"{path}:3: duplicate")):
             read_manifest(path)
 
     def test_wrong_column_count_cites_line(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text("id\tlang\taudio\tduration_s\tspeaker\ttext\tunits\n"
                         "u1\ten\n")
-        with pytest.raises(ManifestError, match="line 2"):
+        with pytest.raises(ManifestError, match=re.escape(f"{path}:2: expected 7 columns")):
             read_manifest(path)
 
     def test_crlf_line_end_not_kept_in_last_column(self, tmp_path):
@@ -112,7 +113,7 @@ class TestReadTsv:
         path = tmp_path / "m.tsv"
         path.write_text("id\tlang\taudio\tduration_s\tspeaker\ttext\tunits\n"
                         "u1\ten\t\tnot-a-number\t\t\t\n")
-        with pytest.raises(ManifestError, match="line 2"):
+        with pytest.raises(ManifestError, match=re.escape(f"{path}:2: unparsable duration")):
             read_manifest(path)
 
     @pytest.mark.parametrize("cell, message", [
@@ -126,7 +127,7 @@ class TestReadTsv:
         path.write_text(f"id\tduration_s\nu1\t1.5\nu2\t{cell}\n")
         with pytest.raises(ManifestError) as info:
             read_manifest(path)
-        assert str(info.value) == f"line 3: {message}" and info.value.line == 3
+        assert str(info.value) == f"{path}:3: {message}"
         with pytest.raises(ManifestError) as info:
             Utterance(id="u2", duration_s=cell)
         assert str(info.value) == message
@@ -136,7 +137,7 @@ class TestReadTsv:
         path.write_text("id\ttext\nu1\tx\n\ty\n")
         with pytest.raises(ManifestError) as info:
             read_manifest(path)
-        assert str(info.value) == "line 3: utterance id must be nonempty"
+        assert str(info.value) == f"{path}:3: utterance id must be nonempty"
 
     def test_bad_units_cite_line_and_field(self, tmp_path):
         path = tmp_path / "m.tsv"
@@ -146,8 +147,7 @@ class TestReadTsv:
                             f"u2\ten\t\t\t\t\t{bad}\n")
             with pytest.raises(ManifestError) as info:
                 read_manifest(path)
-            assert str(info.value) == f"line 3: unparsable units field {bad!r}"
-            assert info.value.line == 3
+            assert str(info.value) == f"{path}:3: unparsable units field {bad!r}"
 
     def test_bad_units_reported_before_bad_id_or_duration(self, tmp_path):
         # the units cell is parsed before the record is built and checked
@@ -156,7 +156,7 @@ class TestReadTsv:
             path.write_text("id\tlang\taudio\tduration_s\tspeaker\ttext\tunits\n" + row + "\n")
             with pytest.raises(ManifestError) as info:
                 read_manifest(path)
-            assert str(info.value) == "line 2: unparsable units field '4 x'"
+            assert str(info.value) == f"{path}:2: unparsable units field '4 x'"
 
     def test_whitespace_units_read_as_empty(self, tmp_path):
         path = tmp_path / "m.tsv"
@@ -191,7 +191,7 @@ class TestReadJsonl:
     def test_bad_json_cites_line(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text('{"id":"a"}\nnot json\n')
-        with pytest.raises(ManifestError, match="line 2"):
+        with pytest.raises(ManifestError, match=re.escape(f"{path}:2: invalid JSON")):
             read_manifest(path)
 
     def test_empty_text_distinct_from_missing(self, tmp_path):
@@ -208,7 +208,7 @@ class TestReadJsonl:
         path.write_text(f'{{"id":"a","{field}":"ok"}}\n{{"id":"b","{field}":{value}}}\n')
         with pytest.raises(ManifestError) as info:
             read_manifest(path)
-        assert str(info.value) == f"line 2: {field!r} must be a string or null"
+        assert str(info.value) == f"{path}:2: {field!r} must be a string or null"
         path.write_text(f'{{"id":"a","{field}":null}}\n')
         assert get_field(read_manifest(path).records[0], field) == ""
 
@@ -237,27 +237,25 @@ def manifest_text(fmt, rows):
 class TestSharedReader:
     """Both formats run through one line loop, its line numbers and its id check."""
 
-    def read_error(self, tmp_path, fmt, rows) -> tuple[int, ManifestError]:
+    def read_error(self, tmp_path, fmt, rows) -> tuple[str, int, ManifestError]:
         text, first = manifest_text(fmt, rows)
         path = tmp_path / f"m.{fmt}"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ManifestError) as info:
             read_manifest(path)
-        return first, info.value
+        return str(path), first, info.value
 
     def test_repeated_id_fails_at_its_second_line(self, tmp_path, fmt):
-        first, exc = self.read_error(tmp_path, fmt, [("a", 1), ("b", 2), ("a", 3)])
-        assert str(exc) == f"line {first + 2}: duplicate utterance id 'a'"
-        assert exc.line == first + 2
+        path, first, exc = self.read_error(tmp_path, fmt, [("a", 1), ("b", 2), ("a", 3)])
+        assert str(exc) == f"{path}:{first + 2}: duplicate utterance id 'a'"
 
     def test_utterance_errors_carry_the_line(self, tmp_path, fmt):
-        first, exc = self.read_error(tmp_path, fmt, [("a", 1), ("b", -1.5)])
-        assert str(exc).startswith(f"line {first + 1}: duration_s must be finite and >= 0")
-        assert exc.line == first + 1
+        path, first, exc = self.read_error(tmp_path, fmt, [("a", 1), ("b", -1.5)])
+        assert str(exc).startswith(f"{path}:{first + 1}: duration_s must be finite and >= 0")
 
     def test_record_error_precedes_the_repeated_id(self, tmp_path, fmt):
-        first, exc = self.read_error(tmp_path, fmt, [("a", 1), ("b", 2), ("a", "x")])
-        assert str(exc) == f"line {first + 2}: unparsable duration 'x'"
+        path, first, exc = self.read_error(tmp_path, fmt, [("a", 1), ("b", 2), ("a", "x")])
+        assert str(exc) == f"{path}:{first + 2}: unparsable duration 'x'"
 
 
 class TestBlankJsonlLines:
@@ -270,7 +268,7 @@ class TestBlankJsonlLines:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ManifestError) as info:
             read_manifest(path)
-        assert str(info.value) == "line 4: duplicate utterance id 'a'"
+        assert str(info.value) == f"{path}:4: duplicate utterance id 'a'"
 
 
 class TestWrite:

@@ -19,15 +19,17 @@ import numpy as np
 import pytest
 
 import unitforge
-from unitforge import evalbleu, fileio
+from unitforge import cli, evalbleu, fileio
 from unitforge.balance import (BalanceError, read_counts_tsv, read_pools_tsv,
                                sample_schedule, temperature_distribution)
-from unitforge.cascade import Adapter, CascadeError, make_adapter
+from unitforge.cascade import Adapter, CascadeError, PipelineSpec, make_adapter
 from unitforge.cli import dispatch
-from unitforge.corpus import Manifest, Segment, Utterance, read_manifest, write_manifest
-from unitforge.embed import EmbeddingMatrix, read_embeddings, write_embeddings
-from unitforge.mine import MinedPair, read_pairs, write_pairs
-from unitforge.quantize import Codebook, read_codebook, read_unit_lines, write_codebook
+from unitforge.corpus import (Manifest, ManifestError, Segment, Utterance, read_manifest,
+                              write_manifest)
+from unitforge.embed import EmbeddingError, EmbeddingMatrix, read_embeddings, write_embeddings
+from unitforge.mine import MinedPair, MiningError, read_pairs, write_pairs
+from unitforge.quantize import (Codebook, QuantizeError, read_codebook, read_unit_lines,
+                                write_codebook)
 
 SRC = Path(unitforge.__file__).resolve().parent
 # every character that str.splitlines() or universal newlines took for a line end
@@ -144,7 +146,8 @@ class TestTwoColumns:
 
     def test_whitespace_only_lines_skipped(self, tmp_path):
         path = put(tmp_path / "t.tsv", "  \n\u2028\nen\tx\n\t \n\ty\n")
-        assert list(fileio.read_two_columns(path, ValueError)) == [(3, "en", "x"), (5, "", "y")]
+        with fileio.numbered(path, ValueError) as lines:
+            assert list(fileio.two_columns(lines)) == [("en", "x"), ("", "y")]
 
 
 class TestRoundTrip:
@@ -315,3 +318,94 @@ class TestLfAndCrlf:
             assert lf == crlf
             assert [(r.id, r.text) for r in lf] == [("u1", "hello"), ("u2", None)]
 
+
+
+def _cascade_inputs():
+    Path("in.jsonl").write_text('{"id": "u1", "text": "hi"}\n', encoding="utf-8")
+    Path("spec.json").write_text(json.dumps({
+        "adapters": {"mt": "mock:t.tsv"},
+        "stages": [{"adapter": "mt", "in": "text", "out": "translation"}]}))
+    return ["cascade", "run", "--spec", "spec.json", "--in", "in.jsonl", "--out", "o.jsonl"]
+
+
+def _simsearch_inputs():
+    for name, ids in (("audio.emb", ("a0", "a1")), ("text.emb", ("t0", "t1"))):
+        write_embeddings(EmbeddingMatrix(data=np.eye(2, dtype=np.float32), ids=ids), Path(name))
+    return ["mine", "simsearch-eval", "--audio", "audio.emb", "--text", "text.emb",
+            "--gold", "gold.tsv", "--out", "sim.json"]
+
+
+def _unnamed_matrix():
+    write_embeddings(EmbeddingMatrix(data=np.eye(2, dtype=np.float32)), Path("e.emb"))
+    return ["embed", "normalize", "--in", "e.emb", "--out", "n.emb"]
+
+
+def _counts():
+    Path("counts.tsv").write_text("en\t9\n")
+    return ["balance", "--counts", "counts.tsv", "--temperature", "2", "--out", "d.json",
+            "--pools", "pools.tsv", "--total", "3", "--seed", "1", "--schedule-out", "s.txt"]
+
+
+def _manifest_stats(name):
+    return lambda: ["manifest", "stats", "--in", name, "--out", "s.json"]
+
+
+# each reader: (file, its error, lines before line N, a bad line N or None when
+# every line is valid, read(path), the CLI that reads the file, after writing
+# what else it reads, in the current directory)
+LOCATED = {
+    "manifest tsv": ("m.tsv", ManifestError, ["id\ttext", "u1\thi"], "u2", read_manifest,
+                     _manifest_stats("m.tsv")),
+    "manifest jsonl": ("m.jsonl", ManifestError, ['{"id": "u1"}', ""], '{"id": "u1"}',
+                       read_manifest, _manifest_stats("m.jsonl")),
+    "unit lines": ("u.txt", QuantizeError, ["1 2", ""], "3 x", read_unit_lines,
+                   lambda: ["units", "dedup", "--in", "u.txt", "--out", "d.txt"]),
+    "pairs": ("p.tsv", MiningError, [PAIRS_TSV.split("\n")[0], "0.5\ts\tt\t\t\t\t\t\t"],
+              "0.5\ts2", read_pairs,
+              lambda: ["mine", "filter-overlap", "--in", "p.tsv", "--max-overlap", "0.5",
+                       "--out", "k.tsv"]),
+    "counts": ("c.tsv", BalanceError, ["lang\tn", "en\t9"], "hok\tmany", read_counts_tsv,
+               lambda: ["balance", "--counts", "c.tsv", "--temperature", "2", "--out", "d.json"]),
+    "pools": ("pools.tsv", BalanceError, ["en\te0", " "], "en\te1\tx", read_pools_tsv, _counts),
+    "gold": ("gold.tsv", MiningError, ["a0\tt0"], "a0\tt1",
+             lambda path: fileio.read_table(path, MiningError), _simsearch_inputs),
+    "mock table": ("t.tsv", CascadeError, ["hi\tHI"], "hi\tHO", Adapter._load_table,
+                   _cascade_inputs),
+    "embedding ids": ("e.emb.ids", EmbeddingError, ["a"], "a",
+                      lambda path: read_embeddings(str(path)[:-len(".ids")]), _unnamed_matrix),
+    "cascade spec": ("spec.json", CascadeError, ["{", '"stages": ['], "}",
+                     PipelineSpec.from_json_file, _cascade_inputs),
+    "bleu": ("h.txt", evalbleu.BleuError, ["the cat", ""], None,
+             lambda path: cli._read_corpus(path, "word13a"),
+             lambda: ["bleu", "--hyp", "h.txt", "--ref", "h.txt", "--out", "b.json"]),
+}
+
+
+@pytest.mark.parametrize("name, bad", [
+    (name, bad) for name, row in LOCATED.items() for bad in ("bad line", "not UTF-8")
+    if bad == "not UTF-8" or row[3] is not None])
+def test_errors_name_path_and_line(tmp_path, monkeypatch, capsys, name, bad):
+    file, error, before, line, read, command = LOCATED[name]
+    monkeypatch.chdir(tmp_path)
+    argv = command()  # writes the command's other inputs first
+    lines = [s.encode("utf-8") for s in before]
+    lines += [b"caf\xe9" if bad == "not UTF-8" else line.encode("utf-8"), *lines]
+    path = tmp_path / file
+    path.write_bytes(b"".join(s + b"\n" for s in lines))
+    where = f"{path}:{len(before) + 1}: "
+    with pytest.raises(error) as info:
+        read(path)
+    assert str(info.value).startswith(where)
+    if bad == "not UTF-8":
+        assert str(info.value) == f"{where}not UTF-8"
+    assert dispatch(argv) == 1
+    assert f"unitforge: error: {file}:{len(before) + 1}: " in capsys.readouterr().err
+
+
+def test_lookup_tables_refuse_a_repeated_key(tmp_path):
+    # pools keep their repeats; the gold and mock tables name the second line
+    path = put(tmp_path / "t.tsv", "en\ta\n\nen\tb\n")
+    assert read_pools_tsv(path) == {"en": ["a", "b"]}
+    for error in (MiningError, CascadeError):
+        with pytest.raises(error, match=re.escape(f"{path}:3: repeated key 'en'")):
+            fileio.read_table(path, error)
