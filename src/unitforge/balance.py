@@ -145,7 +145,8 @@ def read_counts_tsv(path: str | Path) -> LanguageCounts:
             except ValueError:
                 if row:  # a non-numeric first row is the header
                     raise BalanceError(f"unparsable count {count!r}") from None
-    return LanguageCounts(entries=tuple(entries))
+    with numbered(path, BalanceError, ()):
+        return LanguageCounts(entries=tuple(entries))
 
 
 def read_pools_tsv(path: str | Path) -> dict[str, list[str]]:

@@ -36,7 +36,7 @@ from typing import Callable, Mapping, Sequence
 
 from .corpus import TSV_COLUMNS, Manifest, Utterance, get_field, join_units, set_field
 from .evalbleu import TOKENIZER_TAGS, tokenize
-from .fileio import join_lines, read_table, read_text, split_lines, write_file
+from .fileio import join_lines, numbered, read_table, read_text, split_lines, write_file
 
 # each filter kind's params and their defaults; a param's type is its default's
 _FILTER_DEFAULTS: dict[str, dict[str, object]] = {
@@ -311,10 +311,8 @@ class PipelineSpec:
             obj = json.loads(read_text(path, CascadeError))
         except json.JSONDecodeError as exc:
             raise CascadeError(f"{path}:{exc.lineno}: {exc.msg} at column {exc.colno}") from None
-        try:
+        with numbered(path, CascadeError, ()):
             return cls.from_dict(obj)
-        except CascadeError as exc:
-            raise CascadeError(f"{path}: {exc}") from None
 
 
 # --- filters -----------------------------------------------------------------

@@ -235,17 +235,19 @@ def _cmd_asr_bleu(args) -> int:
 def _cmd_cascade_run(args) -> int:
     spec = cascade.PipelineSpec.from_json_file(args.spec)
     manifest = corpus.read_manifest(args.infile)
-    endpoints = dict(spec.adapters)
+    # each endpoint with the input that gave it, which a refusal names
+    endpoints = {name: (endpoint, args.spec) for name, endpoint in spec.adapters.items()}
     for item in args.adapter or ():
         name, _, endpoint = item.partition("=")
         if not endpoint:
             raise cascade.CascadeError(f"--adapter needs NAME=ENDPOINT, got {item!r}")
-        endpoints[name] = endpoint
-    adapters = {
-        name: cascade.make_adapter("stage", name, endpoint, cache_dir=args.cache_dir)
-        for name, endpoint in endpoints.items()
-    }
-    result, report = cascade.run_cascade(manifest, spec, adapters)
+        endpoints[name] = endpoint, "--adapter"
+    adapters = {}
+    for name, (endpoint, source) in endpoints.items():
+        with numbered(source, cascade.CascadeError, ()):
+            adapters[name] = cascade.make_adapter("stage", name, endpoint, cache_dir=args.cache_dir)
+    with numbered(args.spec, cascade.CascadeError, ()):  # the spec's stages and filters
+        result, report = cascade.run_cascade(manifest, spec, adapters)
     corpus.write_manifest(result, args.out)
     if args.report:
         _write_json(report.to_dict(), args.report)

@@ -113,6 +113,8 @@ def read_embeddings(path: str | Path) -> EmbeddingMatrix:
                 if row_id in seen:
                     raise EmbeddingError(f"repeated id {row_id!r}")
                 seen[row_id] = None
+        if len(seen) != rows:
+            raise EmbeddingError(f"{ids_path}: {len(seen)} ids for the {rows} rows of {path}")
         ids = tuple(seen)
     return EmbeddingMatrix(data=data, ids=ids)
 

@@ -54,7 +54,8 @@ def numbered(path: str | os.PathLike, error: Callable[[str], Exception],
     """The lines of ``path`` (or ``items``, the N-th standing for line N) for
     the block to draw. A ``ValueError`` raised in the block while line N is
     the last one drawn becomes ``error("PATH:N: message")``, or ``PATH: ``
-    before line 1; a line that is not UTF-8 gives ``PATH:N: not UTF-8``."""
+    before line 1, as with ``items=()``; a line that is not UTF-8 gives
+    ``PATH:N: not UTF-8``. An error that an inner block located passes as it is."""
     drawn = 0
 
     def count(lines: Iterable) -> Iterator:
@@ -64,10 +65,15 @@ def numbered(path: str | os.PathLike, error: Callable[[str], Exception],
 
     try:
         yield count(read_lines(path) if items is None else items)
-    except UnicodeDecodeError:  # raised while the next line was drawn
-        raise error(f"{path}:{drawn + 1}: not UTF-8") from None
     except ValueError as exc:
-        raise error(f"{path}:{drawn}: {exc}" if drawn else f"{path}: {exc}") from None
+        if getattr(exc, "located", False):  # an inner block has named its input
+            raise
+        if isinstance(exc, UnicodeDecodeError):  # raised while the next line was drawn
+            located = error(f"{path}:{drawn + 1}: not UTF-8")
+        else:
+            located = error(f"{path}:{drawn}: {exc}" if drawn else f"{path}: {exc}")
+        located.located = True
+        raise located from None
 
 
 def read_text(path: str | os.PathLike, error: Callable[[str], Exception]) -> str:

@@ -79,9 +79,6 @@ class UnitSequence:
     def __len__(self) -> int:
         return len(self.units)
 
-    def __iter__(self):
-        return iter(self.units)
-
 
 @dataclass(frozen=True)
 class Codebook:
@@ -298,12 +295,6 @@ def _lower_to_seed(features: np.ndarray, xx: np.ndarray, d2: np.ndarray,
     with np.errstate(all="ignore"):
         cc = float(c @ c)
         coef, floor, xx_limit = _certificate(features.shape[1], cc)
-        reach = math.sqrt(xx.max()) + math.sqrt(cc)
-        if floor > reach * reach:
-            # floor exceeds every expansion (subnormal-scale rows), so no bound
-            # reaches d2 >= 0: skip the GEMV, every row takes the direct sum
-            np.minimum(d2, _direct_d2(features, c), out=d2)
-            return
         lower = (rounded @ c.astype(np.float32)).astype(np.float64)
         lower *= -2.0
         lower += xx
@@ -404,7 +395,7 @@ def kmeans_fit(features: np.ndarray, k: int, seed: int,
         counts = np.bincount(labels, minlength=k)
         new_centroids = centroids.copy()
         nonempty = counts > 0
-        new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
+        np.divide(sums, counts[:, None], out=new_centroids, where=nonempty[:, None])
 
         # reseed empty clusters from the points currently worst served
         empty = np.flatnonzero(~nonempty)

@@ -200,3 +200,36 @@ class TestIO:
         path = tmp_path / "pools.tsv"
         path.write_text("en\tu1\nen\tu2\nhok\tu3\n")
         assert read_pools_tsv(path) == {"en": ["u1", "u2"], "hok": ["u3"]}
+
+
+def _counts_file(tmp, text):
+    path = tmp / "c.tsv"
+    path.write_text(text)
+    return path
+
+
+# each refusal: (a call given a scratch directory, its error, its message)
+REFUSALS = {
+    "temperature": (lambda tmp: SamplingDistribution(temperature=0.0, probs=(("en", 1.0),)),
+                    BalanceError, "temperature must be positive, got 0.0"),
+    "probability": (lambda tmp: SamplingDistribution(
+        temperature=1.0, probs=(("en", 1.5), ("hok", -0.5))),
+                    BalanceError, "probability for 'en' out of range: 1.5"),
+    "total": (lambda tmp: sample_schedule(
+        temperature_distribution(LanguageCounts.from_mapping({"en": 1}), 1.0),
+        {"en": ["e0"]}, total=-1, seed=0), BalanceError, "total must be >= 0, got -1"),
+    "counts file, repeated language": (
+        lambda tmp: read_counts_tsv(_counts_file(tmp, "en\t1\nhok\t2\nen\t3\n")),
+        BalanceError, "{tmp}/c.tsv: language codes must be distinct"),
+    "counts file, negative count": (
+        lambda tmp: read_counts_tsv(_counts_file(tmp, "en\t1\nhok\t-2\n")),
+        BalanceError, "{tmp}/c.tsv: count for 'hok' must be finite and >= 0, got -2.0"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusals(tmp_path, name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert str(info.value) == message.format(tmp=tmp_path)

@@ -283,6 +283,11 @@ class TestAdapters:
         adapter = make_adapter("mt", "bad", f"exec:{cmd}")
         assert adapter.try_run(["a", "b"]) == [None, None]
 
+    def test_exec_nonzero_exit_fails(self):
+        cmd = f"{sys.executable} -c \"import sys; sys.stdin.read(); print('A'); sys.exit(3)\""
+        adapter = make_adapter("mt", "bad", f"exec:{cmd}")
+        assert adapter.try_run(["a"]) == [None]
+
     def test_cache_round_trip(self, tmp_path):
         child = CountingExec(tmp_path)
         endpoint = child.endpoint()
@@ -842,3 +847,33 @@ class TestPipelineSpecIO:
     def test_missing_stage_key(self):
         with pytest.raises(CascadeError, match="stage 0"):
             PipelineSpec.from_dict({"stages": [{"adapter": "x", "in": "text"}]})
+
+
+def _spec_file(tmp, obj):
+    path = tmp / "s.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+# each refusal: (a call given a scratch directory, its error, its message)
+REFUSALS = {
+    "empty exec command": (lambda tmp: make_adapter("stage", "x", "exec:  "),
+                           CascadeError, "adapter 'x': empty exec command"),
+    "missing mock table": (lambda tmp: make_adapter("stage", "x", f"mock:{tmp}/none.tsv"),
+                           CascadeError, "mock table {tmp}/none.tsv does not exist"),
+    "spec file, stages not a list": (
+        lambda tmp: PipelineSpec.from_json_file(_spec_file(tmp, {"stages": {}})),
+        CascadeError, "{tmp}/s.json: 'stages' must be a list, got dict"),
+    "unknown adapter": (lambda tmp: run_cascade(
+        Manifest(records=(Utterance(id="u", text="hi"),)),
+        PipelineSpec.from_dict({"stages": [{"adapter": "zz", "in": "text", "out": "t"}]}), {}),
+                        CascadeError, "stage 0: unknown adapter 'zz'"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusals(tmp_path, name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert str(info.value) == message.format(tmp=tmp_path)

@@ -492,3 +492,91 @@ class TestSeedFlag:
         assert not out.exists()
         assert dispatch(["balance", "--counts", str(workspace["counts.tsv"]),
                          "--temperature", "2", "--out", str(out), "--seed", "1"]) == 0
+
+
+def _zero_row_matrix(path: Path) -> None:
+    data = np.ones((3, 2), dtype=np.float32)
+    data[1] = 0.0
+    write_embeddings(EmbeddingMatrix(data=data), path)
+
+
+class TestWarningsAndFlags:
+    def test_normalize_warns_of_zero_rows(self, tmp_path, capsys):
+        _zero_row_matrix(tmp_path / "z.emb")
+        assert dispatch(["embed", "normalize", "--in", str(tmp_path / "z.emb"),
+                         "--out", str(tmp_path / "n.emb")]) == 0
+        assert "warning: 1 zero row(s) left unnormalized" in capsys.readouterr().err
+
+    def test_mining_side_warns_of_zero_rows(self, tmp_path, capsys):
+        _zero_row_matrix(tmp_path / "z.emb")
+        side = str(tmp_path / "z.emb")
+        assert dispatch(["mine", "run", "--src", side, "--tgt", side,
+                         "--out", str(tmp_path / "p.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert f"warning: {side}: 1 zero row(s)" in err
+        assert "unitforge: error: zero embedding row 1; cosine undefined" in err
+
+    def test_threads_below_one_refused(self, workspace, tmp_path, capsys):
+        out = tmp_path / "d.json"
+        assert dispatch(["balance", "--counts", str(workspace["counts.tsv"]),
+                         "--temperature", "1", "--out", str(out), "--threads", "0"]) == 1
+        assert capsys.readouterr().err == "unitforge: error: --threads must be >= 1\n"
+        assert not out.exists()
+
+    def test_adapter_flag_overrides_the_spec(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("m.tsv").write_text("id\ttext\nu1\tHi\n")
+        Path("s.json").write_text(json.dumps({
+            "stages": [{"adapter": "mt", "in": "text", "out": "zh"}],
+            "adapters": {"mt": "mock:upper"}}))
+        argv = ["cascade", "run", "--spec", "s.json", "--in", "m.tsv", "--out", "o.tsv"]
+        assert dispatch(argv + ["--adapter", "mt=mock:lower"]) == 0
+        assert Path("o.tsv").read_text().splitlines()[1].endswith("\tHi\t\thi")
+        assert dispatch(argv) == 0
+        assert Path("o.tsv").read_text().splitlines()[1].endswith("\tHi\t\tHI")
+
+
+# each refusal: (input files to write, argv, the message after "unitforge: error: ")
+CLI_REFUSALS = {
+    "adapter item without =": (
+        {"s.json": '{"stages": []}'},
+        ["cascade", "run", "--spec", "s.json", "--in", "m.tsv", "--out", "o.tsv",
+         "--adapter", "mt"], "--adapter needs NAME=ENDPOINT, got 'mt'"),
+    "stage names no adapter": (
+        {"s.json": '{"stages": [{"adapter": "zz", "in": "text", "out": "t"}]}'},
+        ["cascade", "run", "--spec", "s.json", "--in", "m.tsv", "--out", "o.tsv"],
+        "s.json: stage 0: unknown adapter 'zz'"),
+    "spec endpoint refused": (
+        {"s.json": '{"adapters": {"zz": "exec: "}}'},
+        ["cascade", "run", "--spec", "s.json", "--in", "m.tsv", "--out", "o.tsv"],
+        "s.json: adapter 'zz': empty exec command"),
+    "flag endpoint refused": (
+        {"s.json": '{"adapters": {"zz": "exec: "}}'},
+        ["cascade", "run", "--spec", "s.json", "--in", "m.tsv", "--out", "o.tsv",
+         "--adapter", "zz=bogus:x"],
+        "--adapter: adapter 'zz': unknown endpoint scheme 'bogus' (expected mock: or exec:)"),
+    "counts repeat a language": (
+        {"c.tsv": "en\t1\nhok\t2\nen\t3\n"},
+        ["balance", "--counts", "c.tsv", "--temperature", "2", "--out", "d.json"],
+        "c.tsv: language codes must be distinct"),
+}
+
+
+@pytest.mark.parametrize("name", CLI_REFUSALS)
+def test_refusals_name_their_input(tmp_path, monkeypatch, capsys, name):
+    files, argv, message = CLI_REFUSALS[name]
+    monkeypatch.chdir(tmp_path)
+    Path("m.tsv").write_text("id\ttext\nu1\thi\n")
+    for file, text in files.items():
+        Path(file).write_text(text)
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == f"unitforge: error: {message}\n"
+    assert not Path("o.tsv").exists() and not Path("d.json").exists()
+
+
+def test_short_ids_sidecar_named_with_its_matrix(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_embeddings(EmbeddingMatrix(data=np.ones((3, 2), dtype=np.float32)), "x.emb")
+    Path("x.emb.ids").write_text("a\nb\n")
+    assert dispatch(["embed", "normalize", "--in", "x.emb", "--out", "n.emb"]) == 1
+    assert capsys.readouterr().err == "unitforge: error: x.emb.ids: 2 ids for the 3 rows of x.emb\n"

@@ -376,3 +376,44 @@ class TestStats:
         shuffled = records[:]
         random.Random(5).shuffle(shuffled)
         assert manifest_stats(Manifest(records=tuple(shuffled))) == base
+
+
+def _file(tmp, name, text):
+    path = tmp / name
+    path.write_text(text)
+    return path
+
+
+def test_explicit_format_overrides_the_suffix(tmp_path):
+    path = _file(tmp_path, "m.txt", '{"id": "a", "text": "hi"}\n')
+    assert read_manifest(path, "jsonl").ids() == ("a",)
+
+
+# each refusal: (a call given a scratch directory, its error, its message)
+REFUSALS = {
+    "segment bounds": (lambda tmp: Segment("a", 0.0, float("inf")),
+                       ManifestError, "segment bounds must be finite"),
+    "format": (lambda tmp: read_manifest(_file(tmp, "m.tsv", "id\n"), "csv"),
+               ManifestError, "unknown manifest format 'csv'"),
+    "empty TSV": (lambda tmp: read_manifest(_file(tmp, "m.tsv", "")),
+                  ManifestError, "{tmp}/m.tsv: empty TSV manifest: missing header"),
+    "TSV header without id": (lambda tmp: read_manifest(_file(tmp, "m.tsv", "text\nhi\n")),
+                              ManifestError, "{tmp}/m.tsv:1: TSV header must contain an 'id' column"),
+    "JSONL line not an object": (lambda tmp: read_manifest(_file(tmp, "m.jsonl", "[1]\n")),
+                                 ManifestError, "{tmp}/m.jsonl:1: each JSONL line must be an object"),
+    "JSONL id": (lambda tmp: read_manifest(_file(tmp, "m.jsonl", '{"id": ""}\n')),
+                 ManifestError, "{tmp}/m.jsonl:1: missing or empty 'id'"),
+    "JSONL units": (lambda tmp: read_manifest(_file(tmp, "m.jsonl", '{"id": "a", "units": [1.5]}\n')),
+                    ManifestError, "{tmp}/m.jsonl:1: units must be a list of integers"),
+    "JSONL nested value": (
+        lambda tmp: read_manifest(_file(tmp, "m.jsonl", '{"id": "a", "x": {"y": 1}}\n')),
+        ManifestError, "{tmp}/m.jsonl:1: nested value not allowed for field 'x'"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusals(tmp_path, name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert str(info.value) == message.format(tmp=tmp_path)

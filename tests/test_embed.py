@@ -227,3 +227,27 @@ class TestRowNorms:
         data[[300, 500]] = 0.0
         with pytest.raises(ZeroVectorError, match="^zero embedding row 300; cosine undefined$"):
             row_norms(data)
+
+
+def _short_ids(tmp):
+    path = tmp / "x.emb"
+    write_embeddings(EmbeddingMatrix(data=np.ones((3, 2), dtype=np.float32)), path)
+    (tmp / "x.emb.ids").write_text("a\nb\n")
+    return read_embeddings(path)
+
+
+# each refusal: (a call given a scratch directory, its error, its message)
+REFUSALS = {
+    "data not 2-D": (lambda tmp: EmbeddingMatrix(data=np.zeros(3)),
+                     EmbeddingError, "embedding data must be 2-D, got shape (3,)"),
+    "ids sidecar short": (_short_ids, EmbeddingError,
+                          "{tmp}/x.emb.ids: 2 ids for the 3 rows of {tmp}/x.emb"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusals(tmp_path, name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert str(info.value) == message.format(tmp=tmp_path)

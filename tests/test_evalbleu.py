@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from unitforge import evalbleu
+from unitforge.cascade import make_adapter
 from unitforge.corpus import Manifest, Utterance
 from unitforge.evalbleu import (
     BleuError, TokenizedCorpus, asr_bleu, corpus_bleu,
@@ -453,3 +454,31 @@ class TestAsrBleu:
         a = asr_bleu(gen, ref, asr, scheme="word13a")
         b = asr_bleu(gen, shuffled, asr, scheme="word13a")
         assert a == b
+
+
+def _one_corpus():
+    return tokenize_corpus(["a b"], "char")
+
+
+# each refusal: (a call given a scratch directory, its error, its message)
+REFUSALS = {
+    "tokenizer tag": (lambda tmp: TokenizedCorpus(segments=(), tokenizer_tag="nope"),
+                      BleuError, "unknown tokenizer 'nope'"),
+    "smoothing": (lambda tmp: corpus_bleu(_one_corpus(), _one_corpus(), smoothing="add1"),
+                  BleuError, "unknown smoothing 'add1'; expected 'none' or 'exp'"),
+    "empty ASR corpus": (lambda tmp: asr_bleu(Manifest(), Manifest(),
+                                              make_adapter("asr", "asr", "mock:identity"), "char"),
+                         BleuError, "empty corpus"),
+    "no audio reference": (lambda tmp: asr_bleu(
+        Manifest(records=(Utterance(id="u1"),)), Manifest(records=(Utterance(id="u1"),)),
+        make_adapter("asr", "asr", "mock:identity"), "char"),
+                           BleuError, "record 'u1' has no audio reference to transcribe"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusals(tmp_path, name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert str(info.value) == message.format(tmp=tmp_path)

@@ -921,3 +921,42 @@ class TestPairsIO:
         path.write_text("nope\n")
         with pytest.raises(MiningError, match="header"):
             read_pairs(path)
+
+
+def _ided(rows, prefix):
+    return EmbeddingMatrix(data=np.eye(rows, 3, dtype=np.float32) + 0.5,
+                           ids=tuple(f"{prefix}{i}" for i in range(rows)))
+
+
+# each refusal: (a call given a scratch directory, its error, its message)
+REFUSALS = {
+    "neighbor order": (lambda tmp: mine.NeighborList(0, ((0, 0.1), (1, 0.5))),
+                       MiningError, "neighbor cosines must be non-increasing"),
+    "neighbor indices": (lambda tmp: mine.NeighborList(0, ((0, 0.5), (0, 0.1))),
+                         MiningError, "neighbor indices must be distinct"),
+    "pair id": (lambda tmp: MinedPair(src_id="", tgt_id="t", score=1.0),
+                MiningError, "pair ids must be nonempty"),
+    "pair score": (lambda tmp: MinedPair(src_id="s", tgt_id="t", score=math.nan),
+                   MiningError, "pair score must be finite, got nan"),
+    "empty source": (lambda tmp: mine_pairs(EmbeddingMatrix(data=np.zeros((0, 3))), _ided(2, "t")),
+                     MiningError, "empty database"),
+    "max_overlap": (lambda tmp: filter_overlap([], max_overlap=1.5),
+                    MiningError, "max_overlap must be in [0, 1], got 1.5"),
+    "side": (lambda tmp: filter_overlap([], max_overlap=0.5, side="x"),
+             MiningError, "side must be src, tgt or both, got 'x'"),
+    "simsearch ids": (lambda tmp: simsearch_error_rate(
+        EmbeddingMatrix(data=np.ones((1, 3))), _ided(1, "t"), {}),
+                      MiningError, "simsearch evaluation needs ids on both matrices"),
+    "gold text id": (lambda tmp: simsearch_error_rate(_ided(1, "a"), _ided(1, "t"), {"a0": "zz"}),
+                     MiningError, "gold text id 'zz' not in the text embeddings"),
+    "no audio rows": (lambda tmp: simsearch_error_rate(_ided(0, "a"), _ided(2, "t"), {}),
+                      MiningError, "no audio rows to evaluate"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusals(tmp_path, name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert str(info.value) == message.format(tmp=tmp_path)

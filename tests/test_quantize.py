@@ -530,8 +530,8 @@ class TestKMeansPlusPlusSeeding:
         feats = (cents[rng.integers(0, 10, 300)] + rng.normal(size=(300, 8)) * 0.1) * 1e-160
         self.assert_seeds_match(feats, 15)
         self.assert_fit_matches(monkeypatch, feats, 15)
-        # the d * tiny floor rules out every keep, so each update skips the
-        # GEMV and sends the whole matrix to the direct sum
+        # the d * tiny floor rules out every keep, so after the first seed's
+        # pass over all rows, each update sends every row to the direct sum
         calls = []
         direct = quantize._direct_d2
 
@@ -542,7 +542,8 @@ class TestKMeansPlusPlusSeeding:
         with monkeypatch.context() as m:
             m.setattr(quantize, "_direct_d2", spy)
             quantize._kmeanspp_init(feats, 15, np.random.default_rng(0))
-        assert len(calls) == 15 and all(rows is None for rows in calls)
+        assert len(calls) == 15 and calls[0] is None
+        assert all(np.array_equal(rows, np.arange(len(feats))) for rows in calls[1:])
 
 
 def oracle_fit(features: np.ndarray, k: int, seed: int, max_iters: int,
@@ -1124,3 +1125,40 @@ class TestCodebookIO:
         embed.write_embeddings(embed.EmbeddingMatrix(data=np.zeros((0, 3), np.float32)), path)
         with pytest.raises(QuantizeError, match="k must be >= 1"):
             read_codebook(path)
+
+
+def test_assigned_sequence_length_is_its_frame_count():
+    codebook = Codebook(k=2, dim=2, centroids=[[0.0, 0.0], [1.0, 1.0]], seed=0)
+    assert len(assign_units(codebook, np.zeros((5, 2)))) == 5
+
+
+def _sidecar_mismatch(tmp):
+    path = tmp / "cb.emb"
+    write_codebook(Codebook(k=2, dim=2, centroids=np.eye(2), seed=0), path)
+    (tmp / "cb.emb.meta.jsonl").write_text('{"k": 3, "dim": 2}\n')
+    return read_codebook(path)
+
+
+# each refusal: (a call given a scratch directory, its error, its message)
+REFUSALS = {
+    "vocab_size": (lambda tmp: UnitSequence(vocab_size=0),
+                   QuantizeError, "vocab_size must be positive, got 0"),
+    "centroids shape": (lambda tmp: Codebook(k=2, dim=3, centroids=np.zeros((2, 4)), seed=0),
+                        QuantizeError, "centroids shape (2, 4) != (2, 3)"),
+    "centroids finite": (lambda tmp: Codebook(k=1, dim=2, centroids=[[np.nan, 0.0]], seed=0),
+                         QuantizeError, "centroids contain non-finite values"),
+    "features 2-D": (lambda tmp: kmeans_fit(np.zeros(4), k=1, seed=0),
+                     QuantizeError, "features must be 2-D, got shape (4,)"),
+    "k": (lambda tmp: kmeans_fit(np.zeros((4, 2)), k=0, seed=0),
+          QuantizeError, "k must be >= 1, got 0"),
+    "sidecar k/dim": (_sidecar_mismatch, QuantizeError,
+                      "sidecar k/dim 3x2 does not match matrix 2x2"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusals(tmp_path, name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert str(info.value) == message.format(tmp=tmp_path)
