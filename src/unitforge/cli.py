@@ -217,6 +217,9 @@ def _read_corpus(path: str, scheme: str) -> evalbleu.TokenizedCorpus:
 
 def _cmd_bleu(args) -> int:
     hyps, refs = (_read_corpus(path, args.tokenizer) for path in (args.hyp, args.ref))
+    if len(hyps) != len(refs):
+        raise evalbleu.BleuError(
+            f"{args.hyp} has {len(hyps)} segments, {args.ref} has {len(refs)}")
     report = evalbleu.corpus_bleu(hyps, refs, smoothing=args.smoothing)
     _write_json(report.to_dict(), args.out, args.stdout, default_name="bleu.json")
     return 0
@@ -225,9 +228,15 @@ def _cmd_bleu(args) -> int:
 def _cmd_asr_bleu(args) -> int:
     generated = corpus.read_manifest(args.manifest)
     reference = corpus.read_manifest(args.ref)
+    differ = sorted(set(generated.ids()) ^ set(reference.ids()))[:5]
+    if differ:
+        raise evalbleu.BleuError(f"{args.manifest} and {args.ref} do not align by id "
+                                 f"(first differences: {differ})")
     adapter = cascade.make_adapter("asr", "asr", args.asr, cache_dir=args.cache_dir)
-    report = evalbleu.asr_bleu(generated, reference, adapter,
-                               scheme=args.tokenizer, smoothing=args.smoothing)
+    # the manifests align, so what asr_bleu refuses is in the generated one
+    with numbered(args.manifest, evalbleu.BleuError, ()):
+        report = evalbleu.asr_bleu(generated, reference, adapter,
+                                   scheme=args.tokenizer, smoothing=args.smoothing)
     _write_json(report.to_dict(), args.out, args.stdout, default_name="asr_bleu.json")
     return 0
 

@@ -26,6 +26,7 @@ import functools
 import math
 import re
 import unicodedata
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, count
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -234,14 +235,27 @@ def _bleu_stats(hyps: TokenizedCorpus, refs: TokenizedCorpus, max_n: int) -> np.
 
 def _block_stats(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]],
                  max_n: int) -> np.ndarray:
+    """The :func:`_bleu_stats` rows of one block of ``n_seg`` segments.
+
+    With ``V`` distinct tokens in the block, the id of an n-gram is its raw
+    key ``id(first n-1 tokens) * V + last token``, in a key space of
+    ``n_gram = V**n`` ids, and ``segment * n_gram + id`` counts it per
+    segment. Such keys stay below the ``_NO_KEY`` sentinel while
+    ``n_seg * V**n`` does, which holds for every order up to 4 when
+    ``V`` is below about 13.8k at 256 segments. Before an order whose keys
+    could reach the sentinel, the ids are renumbered densely by sorting, so
+    ``n_gram`` falls to the number of distinct ids. The counts are then
+    exact while ``n_seg`` times the square of the block's token count stays
+    below the sentinel: under about 1.9e8 tokens in a 256-segment block.
+    """
     import numpy as np
 
     n_seg = len(hyps)
     hyp_lens = np.fromiter(map(len, hyps), np.int64, n_seg)
     ref_lens = np.fromiter(map(len, refs), np.int64, n_seg)
     lens = np.concatenate([hyp_lens, ref_lens])
-    # ids in order of first occurrence, interned by C-level calls
-    vocab = dict(zip(dict.fromkeys(chain.from_iterable(chain(hyps, refs))), count()))
+    # ids in order of first occurrence, interned in one pass of C-level calls
+    vocab = defaultdict(count().__next__)
     tokens = np.fromiter(map(vocab.__getitem__, chain.from_iterable(chain(hyps, refs))),
                          np.int64, int(lens.sum()))
     n_tok = len(tokens)
@@ -253,14 +267,15 @@ def _block_stats(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]],
     stats = np.zeros((n_seg, 2 * max_n + 2), dtype=np.int64)
     stats[:, -2] = hyp_lens
     stats[:, -1] = ref_lens
-    gram = tokens  # dense id of the n-gram starting at each position
+    gram, n_gram = tokens, len(vocab)  # id of the n-gram at each position, < n_gram
     for n in range(1, max_n + 1):
         if n > 1:
-            # (n-1)-gram id and next token as one exact scalar key:
-            # ids < n_tok and tokens < len(vocab) <= n_tok, so no overflow
-            key = gram[:max(n_tok - n + 1, 0)] * len(vocab) + tokens[n - 1:]
-            _, gram = np.unique(key, return_inverse=True)
-        n_gram = int(gram.max()) + 1 if len(gram) else 1
+            gram = gram[:max(n_tok - n + 1, 0)]
+            if n_seg * n_gram * len(vocab) >= _NO_KEY:
+                distinct, gram = np.unique(gram, return_inverse=True)
+                n_gram = len(distinct)
+            gram = gram * len(vocab) + tokens[n - 1:]
+            n_gram *= len(vocab)
         valid = left[:len(gram)] >= n
         keys = seg[:len(gram)] * n_gram + gram  # one key per (segment, n-gram)
         hyp_keys, hyp_counts = np.unique(

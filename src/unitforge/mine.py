@@ -242,7 +242,7 @@ def mine_pairs(src: EmbeddingMatrix, tgt: EmbeddingMatrix, k_nn: int = 4,
         raise MiningError("threshold must not be NaN")
     sides = _checked_sides(src, tgt, k_nn)
     if src.rows == 0:
-        raise MiningError("empty database")
+        raise MiningError("empty source")
 
     k = min(k_nn, src.rows, tgt.rows)
     rows, row_cos, cols, col_cos = _cosine_top_k(*sides, k, k, threads)

@@ -12,7 +12,7 @@ from conftest import build_cli_workspace, cli_command_matrix
 from unitforge import mine
 from unitforge.cascade import PipelineSpec, make_adapter, run_cascade
 from unitforge.cli import dispatch
-from unitforge.corpus import Manifest, Utterance
+from unitforge.corpus import Manifest, Utterance, write_manifest
 from unitforge.embed import EmbeddingMatrix, write_embeddings
 
 
@@ -48,6 +48,30 @@ class TestExitCodes:
                          "--out", str(out)])
         assert code == 1
         assert "k_nn must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, message", [
+        (["bleu", "--hyp", "hyp.txt", "--ref", "ref.txt"],
+         "hyp.txt has 2 segments, ref.txt has 3"),
+        (["asr-bleu", "--manifest", "gen.tsv", "--ref", "other.tsv", "--asr", "mock:identity"],
+         "gen.tsv and other.tsv do not align by id (first differences: ['u1', 'u2'])"),
+        (["asr-bleu", "--manifest", "silent.tsv", "--ref", "ref.tsv", "--asr", "mock:identity"],
+         "silent.tsv: record 'u0' has no audio reference to transcribe"),
+    ])
+    def test_bleu_refusals_name_their_inputs(self, tmp_path, monkeypatch, capsys,
+                                             command, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "hyp.txt").write_text("a b\nc d\n")
+        (tmp_path / "ref.txt").write_text("a b\nc d\ne f\n")
+        for name, records in {
+                "gen.tsv": [Utterance(id=f"u{i}", audio_ref=f"{i}.wav") for i in (0, 1)],
+                "silent.tsv": [Utterance(id="u0"), Utterance(id="u1", audio_ref="1.wav")],
+                "ref.tsv": [Utterance(id=f"u{i}", text="a b") for i in (0, 1)],
+                "other.tsv": [Utterance(id=f"u{i}", text="a b") for i in (0, 2)]}.items():
+            write_manifest(Manifest(records=tuple(records)), tmp_path / name)
+        out = tmp_path / "r.json"
+        assert dispatch(command + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"unitforge: error: {message}\n"
         assert not out.exists()
 
     def test_unknown_flag_mentions_it(self, workspace, tmp_path, capsys):

@@ -7,6 +7,7 @@ import re
 import sys
 import unicodedata
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +321,22 @@ class TestBleuStats:
         assert_matches_counter_oracle(hyps, refs, monkeypatch)
         assert_matches_counter_oracle(TokenizedCorpus(((),), "char"),
                                       TokenizedCorpus(((),), "char"), monkeypatch)
+
+    def test_block_past_the_sparse_key_bound_matches_counter_oracle(self, monkeypatch):
+        # about 60 fresh tokens per segment put n_seg * V**4 past the sentinel,
+        # so a full block renumbers its n-gram ids before order 4 (and 6)
+        rng = random.Random(37)
+        shared = [f"w{i}" for i in range(50)]
+        hyps, refs = [], []
+        for i in range(evalbleu._STATS_BLOCK):
+            ref = [rng.choice(shared) if rng.random() < 0.2 else f"r{i}.{j}"
+                   for j in range(rng.randint(40, 80))]
+            hyps.append([tok if rng.random() < 0.8 else f"h{i}.{j}" for j, tok in enumerate(ref)])
+            refs.append(ref)
+        n_voc = len(set(chain.from_iterable(hyps + refs)))
+        assert len(hyps) * n_voc ** 4 >= evalbleu._NO_KEY
+        assert_matches_counter_oracle(TokenizedCorpus(hyps, "char"),
+                                      TokenizedCorpus(refs, "char"), monkeypatch)
 
     def test_shards_sum_to_whole(self):
         rng = random.Random(31)

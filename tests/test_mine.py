@@ -939,7 +939,7 @@ REFUSALS = {
     "pair score": (lambda tmp: MinedPair(src_id="s", tgt_id="t", score=math.nan),
                    MiningError, "pair score must be finite, got nan"),
     "empty source": (lambda tmp: mine_pairs(EmbeddingMatrix(data=np.zeros((0, 3))), _ided(2, "t")),
-                     MiningError, "empty database"),
+                     MiningError, "empty source"),
     "max_overlap": (lambda tmp: filter_overlap([], max_overlap=1.5),
                     MiningError, "max_overlap must be in [0, 1], got 1.5"),
     "side": (lambda tmp: filter_overlap([], max_overlap=0.5, side="x"),
