@@ -5,11 +5,17 @@ Conventions:
 * data goes to files named by ``--out``-style flags, never to stdout
   (except where a ``--stdout`` flag says otherwise); logs and the
   effective seed of randomized commands go to stderr;
-* reports are JSON files;
+* reports are JSON files; ``--stdout`` prints one instead, and refuses ``--out``;
 * every output file replaces its target atomically (``fileio.write_file``),
   so a failed write leaves the previous file in place;
 * ``--threads`` (every action) and ``--seed`` (``quantize fit`` and
   ``balance``) go after the action (``quantize fit --seed 7``);
+* flags that several actions take are declared once, in argparse parent
+  parsers (``--threads``, ``--seed``, ``--in``, the required ``--out``, the
+  report pair ``--out``/``--stdout``, ``--knn``/``--no-normalize``,
+  ``--smoothing``, ``--cache-dir``, ``--vocab-size``); parents share their
+  action objects, so a default that differs per action (``--tokenizer``, a
+  report's file name) stays with that action;
 * exit 0 on success, 1 on argument/validation errors, 2 on runtime
   failures;
 * ``--threads N`` never changes any output, for any N >= 1;
@@ -25,10 +31,6 @@ import sys
 
 from . import cascade, corpus, evalbleu
 from .fileio import join_lines, numbered, read_table, write_file
-
-_VALIDATION_ERRORS = (
-    ValueError,  # covers every module's *Error validation family
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -191,11 +193,11 @@ def _cmd_mine_simsearch_eval(args) -> int:
 def _cmd_balance(args) -> int:
     from . import balance
 
-    if args.total is not None:
-        if args.pools is None:
-            raise balance.BalanceError("--total requires --pools")
-        if args.schedule_out is None:
-            raise balance.BalanceError("--total requires --schedule-out")
+    for flag, value in (("--pools", args.pools), ("--schedule-out", args.schedule_out)):
+        if args.total is None and value is not None:
+            raise balance.BalanceError(f"{flag} requires --total")
+        if args.total is not None and value is None:
+            raise balance.BalanceError(f"--total requires {flag}")
     counts = balance.read_counts_tsv(args.counts)
     dist = balance.temperature_distribution(counts, args.temperature)
     if args.total is not None:  # built first, so a refused id leaves neither file
@@ -266,16 +268,25 @@ def _cmd_cascade_run(args) -> int:
 
 # --- parser ------------------------------------------------------------------
 
-_CACHE_DIR_HELP = "cache exec: adapter outputs here; mock: adapters are never cached"
-
-
 def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
+    # each flag that several actions take, declared once as an argparse parent
+    common, seeded, reads, writes, report, knn, smoothed, cached, vocab = (
+        _Parser(add_help=False) for _ in range(9))
     common.add_argument("--threads", type=int, default=1,
                         help="worker threads, capped at the CPU count; never changes "
                              "outputs (default 1)")
-    seeded = _Parser(add_help=False, parents=[common])
     seeded.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    reads.add_argument("--in", dest="infile", required=True)
+    writes.add_argument("--out", required=True)
+    either = report.add_mutually_exclusive_group()
+    either.add_argument("--out", help="report file (default: the action's own name)")
+    either.add_argument("--stdout", action="store_true", help="print the report instead")
+    knn.add_argument("--knn", type=int, default=4)
+    knn.add_argument("--no-normalize", action="store_true")
+    smoothed.add_argument("--smoothing", choices=("none", "exp"), default="none")
+    cached.add_argument("--cache-dir", help="cache exec: adapter outputs here; mock: "
+                                            "adapters are never cached")
+    vocab.add_argument("--vocab-size", type=int)
 
     parser = _Parser(prog="unitforge",
                      description="corpus engineering for unit-based speech translation")
@@ -284,15 +295,10 @@ def build_parser() -> _Parser:
     # manifest
     p_manifest = top.add_parser("manifest", help="manifest inspection and conversion")
     sub = p_manifest.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    p = sub.add_parser("stats", parents=[common])
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("stats", parents=[common, reads, report])
     p.add_argument("--format", choices=("tsv", "jsonl"))
-    p.add_argument("--out")
-    p.add_argument("--stdout", action="store_true")
     p.set_defaults(func=_cmd_manifest_stats)
-    p = sub.add_parser("convert", parents=[common])
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("convert", parents=[common, reads, writes])
     p.add_argument("--from-format", choices=("tsv", "jsonl"))
     p.add_argument("--to-format", choices=("tsv", "jsonl"))
     p.set_defaults(func=_cmd_manifest_convert)
@@ -300,53 +306,40 @@ def build_parser() -> _Parser:
     # quantize
     p_quant = top.add_parser("quantize", help="k-means codebooks and unit assignment")
     sub = p_quant.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    p = sub.add_parser("fit", parents=[seeded])
+    p = sub.add_parser("fit", parents=[common, seeded, reads, writes],
+                       description="--in: EMB1 feature matrix; --out: codebook path")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--in", dest="infile", required=True, help="EMB1 feature matrix")
-    p.add_argument("--out", required=True, help="codebook path")
     p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=_cmd_quantize_fit)
-    p = sub.add_parser("assign", parents=[common])
+    p = sub.add_parser("assign", parents=[common, reads, writes],
+                       description="--in: EMB1 feature matrix; --out: unit lines output")
     p.add_argument("--codebook", required=True)
-    p.add_argument("--in", dest="infile", required=True, help="EMB1 feature matrix")
-    p.add_argument("--out", required=True, help="unit lines output")
     p.set_defaults(func=_cmd_quantize_assign)
 
     # units
     p_units = top.add_parser("units", help="unit sequence post-processing")
     sub = p_units.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    p = sub.add_parser("dedup", parents=[common])
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--vocab-size", type=int)
+    p = sub.add_parser("dedup", parents=[common, reads, writes, vocab])
     p.set_defaults(func=_cmd_units_dedup)
-    p = sub.add_parser("ctc-collapse", parents=[common])
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("ctc-collapse", parents=[common, reads, writes, vocab])
     p.add_argument("--blank", type=int, required=True)
-    p.add_argument("--vocab-size", type=int)
     p.set_defaults(func=_cmd_units_ctc_collapse)
 
     # embed
     p_embed = top.add_parser("embed", help="embedding matrix utilities")
     sub = p_embed.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    p = sub.add_parser("pool", parents=[common])
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("pool", parents=[common, reads, writes])
     p.set_defaults(func=_cmd_embed_pool)
-    p = sub.add_parser("normalize", parents=[common])
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("normalize", parents=[common, reads, writes])
     p.set_defaults(func=_cmd_embed_normalize)
 
     # mine
     p_mine = top.add_parser("mine", help="embedding-space pair mining")
     sub = p_mine.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    p = sub.add_parser("run", parents=[common])
+    p = sub.add_parser("run", parents=[common, writes, knn])
     p.add_argument("--src", required=True)
     p.add_argument("--tgt", required=True)
-    p.add_argument("--knn", type=int, default=4)
     p.add_argument("--threshold", type=float, default=None,
                    help="keep pairs scoring at least this (default: keep all)")
     # the values of mine.Direction and mine.Margin, spelled out so that
@@ -354,71 +347,50 @@ def build_parser() -> _Parser:
     p.add_argument("--direction", choices=("forward", "backward", "intersect"),
                    default="forward")
     p.add_argument("--margin", choices=("ratio", "distance", "absolute"), default="ratio")
-    p.add_argument("--no-normalize", action="store_true")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_mine_run)
-    p = sub.add_parser("filter-overlap", parents=[common])
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("filter-overlap", parents=[common, reads, writes])
     p.add_argument("--max-overlap", type=float, required=True)
     p.add_argument("--side", choices=("src", "tgt", "both"), default="src")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_mine_filter_overlap)
-    p = sub.add_parser("simsearch-eval", parents=[common])
+    p = sub.add_parser("simsearch-eval", parents=[common, report, knn])
     p.add_argument("--audio", required=True)
     p.add_argument("--text", required=True)
     p.add_argument("--gold", required=True, help="TSV audio_id<TAB>text_id")
-    p.add_argument("--knn", type=int, default=4)
-    p.add_argument("--no-normalize", action="store_true")
-    p.add_argument("--out")
-    p.add_argument("--stdout", action="store_true")
     p.set_defaults(func=_cmd_mine_simsearch_eval)
 
     # balance
     p = top.add_parser("balance", help="temperature sampling over language counts",
-                       parents=[seeded])
+                       parents=[common, seeded, report])
     p.add_argument("--counts", required=True, help="TSV lang<TAB>count")
     p.add_argument("--temperature", type=float, required=True)
-    p.add_argument("--out")
-    p.add_argument("--stdout", action="store_true")
     p.add_argument("--pools", help="TSV lang<TAB>id for schedule sampling")
     p.add_argument("--total", type=int, help="schedule length to sample")
     p.add_argument("--schedule-out")
     p.set_defaults(func=_cmd_balance)
 
-    # bleu
-    p = top.add_parser("bleu", help="corpus BLEU between two text files", parents=[common])
+    # bleu and asr-bleu; --tokenizer defaults differ, so neither shares it
+    p = top.add_parser("bleu", help="corpus BLEU between two text files",
+                       parents=[common, report, smoothed])
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--tokenizer", choices=evalbleu.TOKENIZER_TAGS, default="word13a")
-    p.add_argument("--smoothing", choices=("none", "exp"), default="none")
-    p.add_argument("--out")
-    p.add_argument("--stdout", action="store_true")
     p.set_defaults(func=_cmd_bleu)
-
-    # asr-bleu
     p = top.add_parser("asr-bleu", help="BLEU of ASR transcripts against reference text",
-                       parents=[common])
+                       parents=[common, report, smoothed, cached])
     p.add_argument("--manifest", required=True, help="generated-audio manifest")
     p.add_argument("--ref", required=True, help="reference-text manifest")
     p.add_argument("--asr", required=True, help="adapter endpoint (mock:... or exec:...)")
     p.add_argument("--tokenizer", choices=evalbleu.TOKENIZER_TAGS, default="tailo_syllable")
-    p.add_argument("--smoothing", choices=("none", "exp"), default="none")
-    p.add_argument("--cache-dir", help=_CACHE_DIR_HELP)
-    p.add_argument("--out")
-    p.add_argument("--stdout", action="store_true")
     p.set_defaults(func=_cmd_asr_bleu)
 
     # cascade
     p_casc = top.add_parser("cascade", help="pseudo-labeling pipelines")
     sub = p_casc.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    p = sub.add_parser("run", parents=[common])
+    p = sub.add_parser("run", parents=[common, reads, writes, cached])
     p.add_argument("--spec", required=True, help="pipeline JSON")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.add_argument("--adapter", action="append", metavar="NAME=ENDPOINT",
                    help="override or supply an adapter endpoint")
-    p.add_argument("--cache-dir", help=_CACHE_DIR_HELP)
     p.set_defaults(func=_cmd_cascade_run)
 
     return parser
@@ -439,7 +411,7 @@ def dispatch(argv: list[str]) -> int:
         return 1
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
+    except ValueError as exc:  # every module's *Error validation family
         print(f"unitforge: error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - runtime failures exit 2

@@ -250,6 +250,39 @@ class TestExitCodes:
         assert f"--total requires {missing}" in err and "wrote" not in err
         assert sorted(tmp_path.iterdir()) == [tmp_path / "inputs"]
 
+    @pytest.mark.parametrize("given, flag", [
+        (["--pools", "pools.tsv"], "--pools"),
+        (["--pools", "missing.tsv"], "--pools"),
+        (["--schedule-out", "schedule.txt"], "--schedule-out"),
+        (["--pools", "pools.tsv", "--schedule-out", "schedule.txt"], "--pools"),
+    ])
+    def test_schedule_flags_require_total(self, workspace, tmp_path, monkeypatch, capsys,
+                                          given, flag):
+        monkeypatch.chdir(tmp_path)
+        extra = [str(workspace[a]) if a in workspace else a for a in given]
+        assert dispatch(["balance", "--counts", str(workspace["counts.tsv"]),
+                         "--temperature", "2", "--out", "dist.json"] + extra) == 1
+        assert capsys.readouterr().err == f"unitforge: error: {flag} requires --total\n"
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "inputs"]
+
+    @pytest.mark.parametrize("argv", [
+        ["manifest", "stats", "--in", "m.tsv"],
+        ["mine", "simsearch-eval", "--audio", "audio.emb", "--text", "text.emb",
+         "--gold", "gold.tsv"],
+        ["balance", "--counts", "counts.tsv", "--temperature", "2"],
+        ["bleu", "--hyp", "hyp.txt", "--ref", "ref.txt"],
+        ["asr-bleu", "--manifest", "gen.tsv", "--ref", "refm.tsv",
+         "--asr", "mock:transcripts.tsv", "--tokenizer", "word13a"],
+    ], ids=lambda argv: argv[1] if argv[0] in ("manifest", "mine") else argv[0])
+    def test_report_out_and_stdout_exclude_each_other(self, workspace, monkeypatch, capsys,
+                                                      argv):
+        monkeypatch.chdir(workspace["m.tsv"].parent)
+        assert dispatch(argv + ["--out", "report.json", "--stdout"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --stdout: not allowed with argument --out" in err
+        assert not Path("report.json").exists()
+
     def test_stdout_flag_prints_report(self, workspace, capsys):
         assert dispatch(["balance", "--counts", str(workspace["counts.tsv"]),
                          "--temperature", "20", "--stdout"]) == 0
